@@ -34,7 +34,8 @@ struct QuarantineSignal {
 class OrchestratedEvaluator final : public Evaluator {
  public:
   OrchestratedEvaluator(Orchestrator& orch, const KernelJob& job)
-      : orch_(orch), job_(job), pipeline_(orch.pipelineFor(job)),
+      : orch_(orch), job_(job),
+        pipeline_(job.hilSource, job.spec, orch.machine_, orch.config_.search),
         baseKey_{hashHex(job.hilSource),
                  orch.machine_.name,
                  std::string(sim::contextName(orch.config_.search.context)),
@@ -67,7 +68,7 @@ class OrchestratedEvaluator final : public Evaluator {
     std::vector<size_t> copyFrom(count, SIZE_MAX);
     for (size_t i = 0; i < count; ++i) {
       specs[i] = opt::formatTuningSpec(batch[i]);
-      auto cached = orch_.cache_.lookup(keyFor(specs[i]));
+      auto cached = orch_.cache_->lookup(keyFor(specs[i]));
       if (cached.has_value()) {
         out[i] = {cached->cycles, cached->status, /*fromCache=*/true};
         out[i].counters = cached->counters;
@@ -86,7 +87,7 @@ class OrchestratedEvaluator final : public Evaluator {
     auto runOver = [&](const std::vector<size_t>& idx, int64_t timeN,
                        std::vector<EvalOutcome>& dst) {
       auto evalOne = [&](size_t k) {
-        EvalRequest req = pipeline_->request(batch[idx[k]]);
+        EvalRequest req = pipeline_.request(batch[idx[k]]);
         req.injector = injector;
         req.timeN = timeN;
         dst[k] = guardedEvaluateCandidate(req);
@@ -144,8 +145,8 @@ class OrchestratedEvaluator final : public Evaluator {
     }
 
     for (size_t i : missIdx) {
-      orch_.cache_.insert(keyFor(specs[i]), out[i].cycles, out[i].status,
-                          out[i].counters);
+      orch_.cache_->insert(keyFor(specs[i]), out[i].cycles, out[i].status,
+                           out[i].counters);
       faults_.add(out[i]);
       ++evaluations_;
     }
@@ -222,7 +223,7 @@ class OrchestratedEvaluator final : public Evaluator {
 
   Orchestrator& orch_;
   const KernelJob& job_;
-  std::shared_ptr<EvalPipeline> pipeline_;
+  EvalPipeline pipeline_;
   EvalKey baseKey_;
   std::string lastDim_;
   int evaluations_ = 0;
@@ -231,26 +232,39 @@ class OrchestratedEvaluator final : public Evaluator {
   FailureCounts faults_;
 };
 
-Orchestrator::Orchestrator(const arch::MachineConfig& machine,
-                           OrchestratorConfig config, std::string* error)
-    : machine_(machine), config_(std::move(config)),
-      injector_(config_.faultPlan) {
-  config_.search.jobs = std::max(1, config_.search.jobs);
-  std::string problems;
-  if (!config_.cacheDir.empty()) {
+std::shared_ptr<EvalCache> openEvalCache(const OrchestratorConfig& config,
+                                         std::string* error) {
+  auto cache = std::make_shared<EvalCache>();
+  std::string err;
+  if (!config.cacheDir.empty()) {
     // Shard mode: load every worker's shard, append to our own only.  A
     // caller that names no shard gets a pid-unique one, so uncoordinated
     // processes sharing the directory can never interleave in one file.
     const std::string shard =
-        config_.cacheShard.empty()
+        config.cacheShard.empty()
             ? std::to_string(static_cast<long>(::getpid()))
-            : config_.cacheShard;
-    std::string err;
-    if (!cache_.openDir(config_.cacheDir, shard, &err)) problems = err;
-  } else if (!config_.cachePath.empty()) {
-    std::string err;
-    if (!cache_.open(config_.cachePath, &err)) problems = err;
+            : config.cacheShard;
+    cache->openDir(config.cacheDir, shard, &err);
+  } else if (!config.cachePath.empty()) {
+    cache->open(config.cachePath, &err);
   }
+  if (error != nullptr) *error = err;
+  return cache;
+}
+
+Orchestrator::Orchestrator(const arch::MachineConfig& machine,
+                           OrchestratorConfig config, std::string* error)
+    : Orchestrator(machine, std::move(config), SharedEvalState{}, error) {}
+
+Orchestrator::Orchestrator(const arch::MachineConfig& machine,
+                           OrchestratorConfig config, SharedEvalState shared,
+                           std::string* error)
+    : machine_(machine), config_(std::move(config)),
+      cache_(std::move(shared.cache)), pool_(std::move(shared.pool)),
+      injector_(config_.faultPlan) {
+  config_.search.jobs = std::max(1, config_.search.jobs);
+  std::string problems;
+  if (cache_ == nullptr) cache_ = openEvalCache(config_, &problems);
   if (!config_.tracePath.empty()) {
     // Append, never truncate: earlier runs' events stay in the trace and
     // tools/tune_report splits runs on the run_start marker.
@@ -260,8 +274,8 @@ Orchestrator::Orchestrator(const arch::MachineConfig& machine,
       problems += "cannot open trace file '" + config_.tracePath + "'";
     }
   }
-  if (config_.search.jobs > 1)
-    pool_ = std::make_unique<detail::ThreadPool>(config_.search.jobs);
+  if (pool_ == nullptr && config_.search.jobs > 1)
+    pool_ = std::make_shared<detail::ThreadPool>(config_.search.jobs);
   {
     JsonWriter w;
     w.field("event", "run_start")
@@ -286,29 +300,11 @@ void Orchestrator::trace(const std::string& jsonLine) {
   std::fputs((jsonLine + "\n").c_str(), trace_);
 }
 
-std::shared_ptr<EvalPipeline> Orchestrator::pipelineFor(const KernelJob& job) {
-  if (!config_.keepPipelinesWarm)
-    return std::make_shared<EvalPipeline>(job.hilSource, job.spec, machine_,
-                                          config_.search);
-  // Warm map keyed on content: the same source re-tuned (the daemon's
-  // repeat-TUNE path) lands on hot compile/decode/tester memos.  machine_
-  // and config_.search outlive the map, which EvalPipeline requires.
-  const std::string key = hashHex(job.hilSource);
-  auto it = pipelines_.find(key);
-  if (it == pipelines_.end())
-    it = pipelines_
-             .emplace(key, std::make_shared<EvalPipeline>(
-                               job.hilSource, job.spec, machine_,
-                               config_.search))
-             .first;
-  return it->second;
-}
-
 KernelOutcome Orchestrator::tune(const KernelJob& job) {
   KernelOutcome outcome;
   outcome.name = job.name;
-  const uint64_t hits0 = cache_.hits();
-  const uint64_t misses0 = cache_.misses();
+  const uint64_t hits0 = cache_->hits();
+  const uint64_t misses0 = cache_->misses();
 
   {
     JsonWriter w;
@@ -346,8 +342,8 @@ KernelOutcome Orchestrator::tune(const KernelJob& job) {
   outcome.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  outcome.cacheHits = cache_.hits() - hits0;
-  outcome.cacheMisses = cache_.misses() - misses0;
+  outcome.cacheHits = cache_->hits() - hits0;
+  outcome.cacheMisses = cache_->misses() - misses0;
 
   {
     JsonWriter w;

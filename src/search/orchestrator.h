@@ -10,6 +10,14 @@
 // changes the chosen parameters: jobs=N, warm or cold, reproduces the
 // serial search bit for bit.
 //
+// Ownership: each tune() builds one EvalPipeline for its kernel and drops
+// it with the search; what outlives a search is the cache.  A one-shot
+// run's orchestrator opens its own cache and pool from its config.  A
+// long-lived owner (the serve daemon) instead opens one cache and one pool
+// and lends them (SharedEvalState) to many orchestrators, one per
+// (machine, context, N), so none of them re-reads the cache file or starts
+// threads of its own.
+//
 // Evaluation is fault-isolated (search/faultguard.h): every candidate runs
 // through guardedEvaluateCandidate — cooperative deadline, exception
 // containment, bounded retry — so a crashing or hanging candidate scores a
@@ -41,7 +49,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "arch/machine.h"
@@ -79,12 +86,6 @@ struct OrchestratorConfig {
   int quarantineAfter = 3;
   /// Deterministic fault injection for tests/benchmarks; empty = none.
   FaultPlan faultPlan;
-  /// Keep each kernel's EvalPipeline (lowering, compile/decode/tester
-  /// memos, pristine operand templates) alive across tune() calls, keyed
-  /// by source hash.  One-shot CLI runs leave this off (a pipeline dies
-  /// with its search); the long-lived `ifko serve` daemon turns it on so a
-  /// repeat tune of the same kernel skips straight to hot memos.
-  bool keepPipelinesWarm = false;
 };
 
 /// One kernel to tune.  When `spec` names a surveyed BLAS kernel its
@@ -149,15 +150,39 @@ namespace detail {
 class ThreadPool;
 }
 
-/// Owns the worker pool, the evaluation cache, and the trace stream for a
-/// batch of tuning runs on one machine model.
+/// Evaluation state a long-lived owner lends to many orchestrators: the
+/// serve daemon opens one cache and one worker pool and shares them across
+/// its per-(machine, context, N) orchestrators.  A null member means the
+/// orchestrator creates its own from its config.  Sharing never changes a
+/// result: EvalKey carries machine, context and N, and the pool only runs
+/// the pure candidate evaluations.
+struct SharedEvalState {
+  std::shared_ptr<EvalCache> cache;
+  /// Sized to config.search.jobs; lend one only when jobs > 1.
+  std::shared_ptr<detail::ThreadPool> pool;
+};
+
+/// Opens the evaluation cache `config` names: the shard directory when
+/// cacheDir is set (shard = cacheShard, or the process id), else the
+/// cachePath file, else memory only.  A file problem is reported through
+/// *error (when given) and leaves the returned cache memory-only.
+[[nodiscard]] std::shared_ptr<EvalCache> openEvalCache(
+    const OrchestratorConfig& config, std::string* error = nullptr);
+
+/// Runs a batch of tuning searches on one machine model through a worker
+/// pool, an evaluation cache and a trace stream.  It owns the trace; the
+/// pool and the cache are its own unless borrowed through SharedEvalState.
 class Orchestrator {
  public:
-  /// Opens the cache and trace files named by `config`.  File problems are
-  /// reported through *error (when given); the orchestrator stays usable
-  /// with the affected feature disabled, so callers decide severity.
+  /// Opens the trace file `config` names, and the cache and pool unless
+  /// `shared` lends them (a borrowed cache ignores cachePath/cacheDir).
+  /// File problems are reported through *error (when given); the
+  /// orchestrator stays usable with the affected feature disabled, so
+  /// callers decide severity.
   Orchestrator(const arch::MachineConfig& machine, OrchestratorConfig config,
                std::string* error = nullptr);
+  Orchestrator(const arch::MachineConfig& machine, OrchestratorConfig config,
+               SharedEvalState shared, std::string* error = nullptr);
   ~Orchestrator();
   Orchestrator(const Orchestrator&) = delete;
   Orchestrator& operator=(const Orchestrator&) = delete;
@@ -175,7 +200,7 @@ class Orchestrator {
       const std::vector<KernelJob>& jobs,
       const std::function<void(const KernelOutcome&)>& onKernel = {});
 
-  [[nodiscard]] EvalCache& cache() { return cache_; }
+  [[nodiscard]] EvalCache& cache() { return *cache_; }
   /// Worker-pool width after normalization (always >= 1).
   [[nodiscard]] int jobs() const { return config_.search.jobs; }
 
@@ -188,25 +213,16 @@ class Orchestrator {
     return quarantined_;
   }
 
-  /// The kernel's evaluation pipeline: a fresh one per call normally, the
-  /// warm one (created on first use) under config.keepPipelinesWarm.
-  [[nodiscard]] std::shared_ptr<EvalPipeline> pipelineFor(
-      const KernelJob& job);
-  /// Pipelines currently kept warm (0 unless keepPipelinesWarm).
-  [[nodiscard]] size_t warmPipelines() const { return pipelines_.size(); }
-
  private:
   void trace(const std::string& jsonLine);
 
   arch::MachineConfig machine_;
   OrchestratorConfig config_;
-  EvalCache cache_;
-  std::unique_ptr<detail::ThreadPool> pool_;
+  std::shared_ptr<EvalCache> cache_;
+  std::shared_ptr<detail::ThreadPool> pool_;  ///< null when jobs == 1
   std::FILE* trace_ = nullptr;
   FaultInjector injector_;
   std::vector<QuarantineRecord> quarantined_;
-  /// source hash -> warm pipeline (only filled when keepPipelinesWarm).
-  std::unordered_map<std::string, std::shared_ptr<EvalPipeline>> pipelines_;
 
   friend class OrchestratedEvaluator;
 };

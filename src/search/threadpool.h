@@ -6,7 +6,9 @@
 // so no worker is left holding a task and the done-count always completes —
 // and the captured exception is rethrown on the calling thread.  Without
 // that, a throwing task would unwind a worker's thread main and
-// std::terminate the whole process.
+// std::terminate the whole process.  Each call keeps its completion state
+// on the caller's stack, so one pool can serve many orchestrators in turn
+// (the serve daemon lends a single pool to all of them).
 #pragma once
 
 #include <algorithm>
@@ -59,11 +61,13 @@ class ThreadPool {
           } catch (...) {
             error = std::current_exception();
           }
-          {
-            std::lock_guard<std::mutex> dl(doneMu);
-            ++done;
-            if (error != nullptr && firstError == nullptr) firstError = error;
-          }
+          // Notify while still holding doneMu: the caller cannot see
+          // done == count (and return, destroying doneMu and doneCv on its
+          // stack) until this worker has released the lock, so no worker
+          // touches them after they die.
+          std::lock_guard<std::mutex> dl(doneMu);
+          ++done;
+          if (error != nullptr && firstError == nullptr) firstError = error;
           doneCv.notify_one();
         });
     }

@@ -14,6 +14,7 @@
 #include <utility>
 
 #include "opt/params.h"
+#include "search/threadpool.h"
 #include "support/hash.h"
 #include "support/json.h"
 #include "wisdom/harvest.h"
@@ -37,9 +38,6 @@ std::string comboKey(const arch::MachineConfig& machine,
 Daemon::Daemon(ServeConfig config, std::string* error)
     : config_(std::move(config)) {
   std::string problems;
-  // The daemon always tunes through warm pipelines: its whole point is that
-  // repeat work hits hot state.
-  config_.orchestrator.keepPipelinesWarm = true;
 
   for (const kernels::KernelSpec& spec : kernels::extendedKernels())
     kernels_[spec.name()] = KernelEntry{spec.hilSource(), &spec};
@@ -64,6 +62,20 @@ Daemon::Daemon(ServeConfig config, std::string* error)
                   " line(s) from another wisdom_schema in " +
                   config_.wisdomPath + "\n";
   }
+
+  // One cache for every orchestrator, opened only here, so no
+  // (arch, context, n) combination re-reads the file into a map of its own.
+  const search::OrchestratorConfig& oc = config_.orchestrator;
+  std::string cacheError;
+  shared_.cache = search::openEvalCache(oc, &cacheError);
+  if (!cacheError.empty()) problems += "cache: " + cacheError + "\n";
+  if (shared_.cache->damagedLines() > 0)
+    problems += "cache: skipped " +
+                std::to_string(shared_.cache->damagedLines()) +
+                " damaged line(s) in " +
+                (oc.cacheDir.empty() ? oc.cachePath : oc.cacheDir) + "\n";
+  if (oc.search.jobs > 1)
+    shared_.pool = std::make_shared<search::detail::ThreadPool>(oc.search.jobs);
   if (error != nullptr) *error = problems;
 }
 
@@ -95,11 +107,15 @@ search::Orchestrator& Daemon::orchestratorFor(
     search::OrchestratorConfig cfg = config_.orchestrator;
     cfg.search.context = context;
     cfg.search.n = n;
-    std::string ignored;  // cache/trace file problems degrade, not fail
+    // A trace file problem (the only one left once the cache is lent)
+    // degrades to an untraced search, not a failed request.
+    std::string traceError;
     it = orchestrators_
              .emplace(key, std::make_unique<search::Orchestrator>(
-                               machine, std::move(cfg), &ignored))
+                               machine, std::move(cfg), shared_, &traceError))
              .first;
+    if (!traceError.empty())
+      std::fprintf(stderr, "ifko serve: %s\n", traceError.c_str());
   }
   return *it->second;
 }
@@ -254,7 +270,7 @@ std::string Daemon::handleKernelVerb(const Request& req) {
       key, req.target,
       config_.runId + "/" +
           std::string(search::strategyName(config_.orchestrator.strategy)),
-      outcome.result, usedConfig, &orch.cache());
+      outcome.result, usedConfig, shared_.cache.get());
 
   if (store_.record(rec)) saveWisdom();
   return respond("tuned", rec.params, rec.bestCycles, rec.defaultCycles,
@@ -300,12 +316,6 @@ std::string Daemon::handleImport(const Request& req) {
 }
 
 std::string Daemon::handleStats() {
-  size_t warmPipelines = 0;
-  size_t cacheEntries = 0;
-  for (const auto& [key, orch] : orchestrators_) {
-    warmPipelines += orch->warmPipelines();
-    cacheEntries += orch->cache().size();
-  }
   JsonWriter w;
   w.field("ok", true)
       .field("requests", stats_.requests)
@@ -317,8 +327,8 @@ std::string Daemon::handleStats() {
       .field("wisdom_records", static_cast<uint64_t>(store_.size()))
       .field("kernels", static_cast<uint64_t>(kernels_.size()))
       .field("orchestrators", static_cast<uint64_t>(orchestrators_.size()))
-      .field("warm_pipelines", static_cast<uint64_t>(warmPipelines))
-      .field("eval_cache_entries", static_cast<uint64_t>(cacheEntries));
+      .field("eval_cache_entries",
+             static_cast<uint64_t>(shared_.cache->size()));
   return w.str();
 }
 

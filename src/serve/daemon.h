@@ -2,23 +2,28 @@
 //
 // One-shot tuning re-lowers, re-searches, and exits; the daemon inverts
 // that posture.  It holds the hot state in memory across requests — the
-// wisdom store (wisdom/wisdom.h), every orchestrator's persistent eval
-// cache, and the per-kernel EvalPipeline memos
-// (OrchestratorConfig::keepPipelinesWarm) — so "give me the tuned kernel"
-// is a wisdom lookup that never touches the evaluator, and a full
-// empirical search runs only on the cache-miss path.  Misses route through
-// the ordinary fault-isolated orchestrator (deadline, retry, quarantine),
-// so a crashing or hanging kernel scores a structured error response and
-// the daemon keeps serving.
+// wisdom store (wisdom/wisdom.h) and one evaluation cache — so "give me
+// the tuned kernel" is a wisdom lookup that never touches the evaluator,
+// and a full empirical search runs only on the cache-miss path.  Misses
+// route through the ordinary fault-isolated orchestrator (deadline, retry,
+// quarantine), so a crashing or hanging kernel scores a structured error
+// response and the daemon keeps serving.
+//
+// Memory model: the daemon opens its eval cache once, at construction, and
+// creates at most one worker pool (--jobs > 1).  It lends both to a thin
+// orchestrator per requested (arch, context, n) combination, which keeps
+// only its trace stream, fault-injection counts and quarantine records.
+// A repeat candidate is a hit in the one shared cache whichever
+// combination asks, so no per-combination state grows with the cache.
 //
 // The request surface is serve/protocol.h (QUERY/TUNE/EXPLAIN/EXPORT/
 // IMPORT/STATS/SHUTDOWN), carried over a Unix-domain or loopback TCP
-// socket, one request line per response line.  Requests are handled serially on the
-// accept loop — candidate-level parallelism inside a tune (--jobs) is
-// where the cores go, and serial request handling keeps every response
-// deterministic.  handleLine() is the whole state machine; the socket
-// layer only moves lines, which is what makes the daemon testable without
-// a socket.
+// socket, one request line per response line.  Requests are handled
+// serially on the accept loop — candidate-level parallelism inside a tune
+// (--jobs) is where the cores go, and serial request handling keeps every
+// response deterministic.  handleLine() is the whole state machine; the
+// socket layer only moves lines, which is what makes the daemon testable
+// without a socket.
 #pragma once
 
 #include <cstdint>
@@ -35,8 +40,8 @@ namespace ifko::serve {
 struct ServeConfig {
   /// Template for the tune-on-miss path: search scale (n, context, smoke
   /// grids), jobs, cache/trace paths, strategy, budget, fault policy.  The
-  /// daemon clones it per requested (arch, context, n) combination and
-  /// always keeps pipelines warm.
+  /// daemon opens the cache it names once and clones the rest per
+  /// requested (arch, context, n) combination.
   search::OrchestratorConfig orchestrator;
   std::string defaultArch = "p4e";  ///< when a request names no arch
   /// Wisdom file: loaded at startup, re-saved after every new record and
@@ -67,9 +72,11 @@ struct ServeStats {
 
 class Daemon {
  public:
-  /// Loads the wisdom file and the kernel table.  *error receives wisdom
-  /// damage/schema warnings and kernel-dir problems; the daemon stays
-  /// usable (a missing kernels dir just serves the registry).
+  /// Loads the wisdom file, the kernel table and the eval cache.  *error
+  /// receives wisdom and cache damage warnings, wisdom schema warnings,
+  /// cache open errors and kernel-dir problems, one per line; the daemon
+  /// stays usable (a missing kernels dir just serves the registry, an
+  /// unopenable cache file leaves the cache memory-only).
   explicit Daemon(ServeConfig config, std::string* error = nullptr);
   ~Daemon();
   Daemon(const Daemon&) = delete;
@@ -116,7 +123,8 @@ class Daemon {
   [[nodiscard]] std::string errorResponse(const std::string& code,
                                           const std::string& message);
   /// The orchestrator serving one (arch, context, n) combination, created
-  /// on first use and kept hot (cache + pipelines) for the daemon's life.
+  /// on first use around the shared cache and pool and kept for the
+  /// daemon's life (its fault-plan counts and quarantine records persist).
   [[nodiscard]] search::Orchestrator& orchestratorFor(
       const arch::MachineConfig& machine, sim::TimeContext context, int64_t n);
   void saveWisdom();
@@ -124,6 +132,7 @@ class Daemon {
   ServeConfig config_;
   wisdom::WisdomStore store_;
   std::map<std::string, KernelEntry> kernels_;
+  search::SharedEvalState shared_;  ///< one cache + pool, lent to every orch
   std::map<std::string, std::unique_ptr<search::Orchestrator>> orchestrators_;
   ServeStats stats_;
   bool shutdown_ = false;

@@ -294,6 +294,23 @@ TEST(ThreadPoolTest, FirstOfManyExceptionsWins) {
   EXPECT_EQ(ran.load(), 16);
 }
 
+// Thousands of tiny batches on one pool: each batch's completion state
+// lives on the caller's stack and dies the moment parallelFor returns, so a
+// worker that touched it after signalling completion would be a use after
+// scope (ThreadSanitizer reports it; without TSan it can crash or hang).
+TEST(ThreadPoolTest, ThousandsOfTinyBatchesDrainCleanly) {
+  detail::ThreadPool pool(4);
+  std::atomic<uint64_t> sum{0};
+  constexpr size_t kBatches = 5000;
+  uint64_t want = 0;
+  for (size_t b = 0; b < kBatches; ++b) {
+    const size_t n = 2 + b % 3;
+    pool.parallelFor(n, [&](size_t i) { sum += i + 1; });
+    want += n * (n + 1) / 2;
+  }
+  EXPECT_EQ(sum.load(), want);
+}
+
 // --- Quarantine through the orchestrator ----------------------------------
 
 TEST(Quarantine, RepeatedHardFailuresAbandonTheKernel) {

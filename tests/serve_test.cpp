@@ -11,14 +11,18 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "arch/machine.h"
 #include "kernels/registry.h"
 #include "opt/params.h"
+#include "search/evalcache.h"
 #include "search/orchestrator.h"
 #include "serve/client.h"
 #include "serve/daemon.h"
@@ -208,7 +212,6 @@ TEST(Daemon, TuneThenWarmQueryAndExplain) {
   EXPECT_EQ(numOf(stats, "wisdom_near"), 1);
   EXPECT_EQ(numOf(stats, "evaluations"), numOf(tuned, "evaluations"));
   EXPECT_EQ(numOf(stats, "wisdom_records"), 1);
-  EXPECT_EQ(numOf(stats, "warm_pipelines"), 1);
 }
 
 // The acceptance bar: for every surveyed kernel, in both timing contexts,
@@ -300,6 +303,117 @@ TEST(Daemon, WisdomFileRoundTripAndExport) {
   EXPECT_EQ(store.records()[0]->kernel, "scopy");
   std::remove(wisdomPath.c_str());
   std::remove(exportPath.c_str());
+}
+
+// The daemon's one eval cache persists every (arch, context, n) combination
+// it tuned exactly once, and a restarted daemon replays all of them from
+// the file without a single evaluation.
+TEST(Daemon, SharedCacheRoundTripsAcrossRestart) {
+  const std::string cachePath = tmpFile("serve_shared.cache.jsonl");
+  std::remove(cachePath.c_str());
+  const std::vector<std::string> tunes = {"TUNE ddot n=1024",
+                                          "TUNE ddot n=2048",
+                                          "TUNE ddot n=4096"};
+  ServeConfig cfg = smokeServeConfig();
+  cfg.orchestrator.cachePath = cachePath;
+
+  std::vector<std::map<std::string, JsonValue>> first;
+  {
+    std::string error;
+    Daemon d(cfg, &error);
+    EXPECT_EQ(error, "");
+    for (const std::string& line : tunes) {
+      first.push_back(parseResponse(d.handleLine(line)));
+      ASSERT_TRUE(okOf(first.back())) << line;
+      EXPECT_GT(numOf(first.back(), "evaluations"), 0) << line;
+    }
+    auto stats = parseResponse(d.handleLine("STATS"));
+    EXPECT_EQ(numOf(stats, "orchestrators"), 3);
+    const int64_t entries = numOf(stats, "eval_cache_entries");
+    EXPECT_EQ(entries, numOf(stats, "evaluations"));
+
+    // One line per entry, no key twice: no combination re-read the file
+    // into a private map and counted (or wrote) it again.
+    std::ifstream in(cachePath);
+    std::set<std::string> keys;
+    int64_t lines = 0;
+    for (std::string text; std::getline(in, text); ++lines) {
+      search::EvalKey key;
+      search::EvalRecord rec;
+      ASSERT_TRUE(search::EvalCache::parseLine(text, &key, &rec)) << text;
+      EXPECT_TRUE(keys.insert(key.str()).second) << "duplicate: " << text;
+    }
+    EXPECT_EQ(lines, entries);
+  }
+
+  std::string error;
+  Daemon again(cfg, &error);
+  EXPECT_EQ(error, "");
+  for (size_t i = 0; i < tunes.size(); ++i) {
+    SCOPED_TRACE(tunes[i]);
+    auto replay = parseResponse(again.handleLine(tunes[i]));
+    ASSERT_TRUE(okOf(replay));
+    EXPECT_EQ(numOf(replay, "evaluations"), 0);
+    EXPECT_EQ(strOf(replay, "params"), strOf(first[i], "params"));
+    EXPECT_EQ(numOf(replay, "best_cycles"), numOf(first[i], "best_cycles"));
+    EXPECT_EQ(numOf(replay, "default_cycles"),
+              numOf(first[i], "default_cycles"));
+  }
+  std::remove(cachePath.c_str());
+}
+
+size_t threadCount() {
+  size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task"))
+    ++n;
+  return n;
+}
+
+// At --jobs > 1 every combination borrows the daemon's one worker pool
+// instead of starting jobs threads of its own.
+TEST(Daemon, OneWorkerPoolForEveryCombination) {
+  ServeConfig cfg = smokeServeConfig();
+  cfg.orchestrator.search.jobs = 2;
+  // A sanitizer runtime may start a helper thread along with the first
+  // thread the process creates; let that happen before counting.
+  std::thread([] {}).join();
+  const size_t before = threadCount();
+  Daemon d(cfg);
+  for (const char* n : {"1024", "2048", "3000", "4096"})
+    ASSERT_TRUE(okOf(parseResponse(d.handleLine(std::string("TUNE ddot n=") +
+                                                n))))
+        << n;
+  auto stats = parseResponse(d.handleLine("STATS"));
+  EXPECT_EQ(numOf(stats, "orchestrators"), 4);
+  EXPECT_LE(threadCount(), before + 2);
+}
+
+// Cache problems reach the constructor's *error like wisdom warnings do,
+// and never stop the daemon from tuning.
+TEST(Daemon, ReportsCacheDamageAndOpenErrors) {
+  const std::string damagedPath = tmpFile("serve_damaged.cache.jsonl");
+  {
+    std::ofstream out(damagedPath, std::ios::trunc);
+    out << "this line is not json\n{\"also\":\"not a cache record\"}\n";
+  }
+  ServeConfig cfg = smokeServeConfig();
+  cfg.orchestrator.cachePath = damagedPath;
+  std::string error;
+  {
+    Daemon d(cfg, &error);
+    EXPECT_NE(error.find("cache: skipped 2 damaged line(s) in " + damagedPath),
+              std::string::npos)
+        << error;
+    EXPECT_TRUE(okOf(parseResponse(d.handleLine("TUNE ddot"))));
+  }
+  std::remove(damagedPath.c_str());
+
+  cfg.orchestrator.cachePath = tmpFile("serve_no_such_dir/eval.cache.jsonl");
+  Daemon d(cfg, &error);
+  EXPECT_NE(error.find("cache: cannot open cache file"), std::string::npos)
+      << error;
+  EXPECT_TRUE(okOf(parseResponse(d.handleLine("TUNE ddot"))));
 }
 
 // IMPORT is the federation primitive: keep-best merge of a wisdom file
