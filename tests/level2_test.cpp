@@ -44,11 +44,13 @@ TEST(Level2, GerBroadcastsTheInvariantScalar) {
   EXPECT_GE(info.invariantFpInputs.size(), 1u);
 }
 
+// The flags are ints, not bools: a struct without padding bytes prints the
+// same way every run, and gtest puts that printout in the test's name.
 struct L2Case {
-  bool sv;
+  int sv;
   int ur;
   int ae;
-  bool pf;
+  int pf;
 };
 
 class GemvGrid : public testing::TestWithParam<L2Case> {};
