@@ -49,7 +49,7 @@ int main() {
     std::vector<std::string> cells = {spec.name()};
     uint64_t lineBest = 0;
     for (search::StrategyKind kind : search::allStrategies()) {
-      auto r = search::tuneKernelWithStrategy(spec, machine, cfg, kind, b);
+      auto r = search::tuneKernel(spec, machine, cfg, kind, b);
       if (!r.ok) {
         cells.push_back("-");
         continue;

@@ -162,7 +162,7 @@ sim::TimeResult timeCompiledWith(const arch::MachineConfig& machine,
                                  const std::vector<ir::Param>& params,
                                  int64_t n, sim::TimeContext ctx,
                                  uint64_t seed, int64_t strideElems,
-                                 int64_t loopN, const GenericData* tmpl,
+                                 const GenericData* tmpl,
                                  RunFn&& execute) {
   GenericData data = tmpl != nullptr
                          ? tmpl->clone()
@@ -173,16 +173,6 @@ sim::TimeResult timeCompiledWith(const arch::MachineConfig& machine,
   // Warming displaces lines; reset so its evictions never reach the timed
   // run's counters (and OutOfCache/InL2 stats stay independent).
   mem.resetStats();
-  // Truncated runs keep the full-size operands and shorten only the trip
-  // count (the LAST integer parameter; see makeGenericData): the timed
-  // region is an exact prefix of the full run.
-  if (loopN > 0) {
-    for (size_t i = params.size(); i-- > 0;) {
-      if (params[i].kind != ir::ParamKind::Int) continue;
-      data.args[i] = sim::ArgValue(loopN);
-      break;
-    }
-  }
   sim::TimingModel timing(machine, mem);
   sim::RunResult run = execute(data, timing);
 
@@ -200,10 +190,8 @@ sim::TimeResult timeCompiledWith(const arch::MachineConfig& machine,
 sim::TimeResult timeCompiled(const arch::MachineConfig& machine,
                              const ir::Function& fn, int64_t n,
                              sim::TimeContext ctx, uint64_t seed,
-                             int64_t strideElems, int64_t loopN,
-                             const GenericData* tmpl) {
-  return timeCompiledWith(machine, fn.params, n, ctx, seed, strideElems, loopN,
-                          tmpl,
+                             int64_t strideElems, const GenericData* tmpl) {
+  return timeCompiledWith(machine, fn.params, n, ctx, seed, strideElems, tmpl,
                           [&](GenericData& data, sim::TimingModel& timing) {
                             sim::Interp interp(fn, *data.mem, &timing);
                             return interp.run(data.args);
@@ -213,10 +201,8 @@ sim::TimeResult timeCompiled(const arch::MachineConfig& machine,
 sim::TimeResult timeCompiled(const arch::MachineConfig& machine,
                              const sim::DecodedFunction& dfn, int64_t n,
                              sim::TimeContext ctx, uint64_t seed,
-                             int64_t strideElems, int64_t loopN,
-                             const GenericData* tmpl) {
-  return timeCompiledWith(machine, dfn.params, n, ctx, seed, strideElems,
-                          loopN, tmpl,
+                             int64_t strideElems, const GenericData* tmpl) {
+  return timeCompiledWith(machine, dfn.params, n, ctx, seed, strideElems, tmpl,
                           [&](GenericData& data, sim::TimingModel& timing) {
                             return sim::runDecoded(dfn, *data.mem, data.args,
                                                    &timing);

@@ -78,16 +78,13 @@ struct DiffOutcome {
                                                  int64_t n, uint64_t seed = 42);
 
 /// Times any compiled kernel at length n (generic analogue of
-/// sim::timeKernel).  InL2 pre-warms every vector parameter.  `loopN`
-/// (0 = n) truncates the loop trip count while the operands stay sized at
-/// `n` — the screen-then-confirm prefix run (see sim/timer.h); `tmpl`
+/// sim::timeKernel).  InL2 pre-warms every vector parameter.  `tmpl`
 /// clones a pristine operand image instead of regenerating the data.
 [[nodiscard]] sim::TimeResult timeCompiled(const arch::MachineConfig& machine,
                                            const ir::Function& fn, int64_t n,
                                            sim::TimeContext ctx,
                                            uint64_t seed = 42,
                                            int64_t strideElems = 1,
-                                           int64_t loopN = 0,
                                            const GenericData* tmpl = nullptr);
 
 /// Fast-path variant over the pre-decoded form (sim/decode.h); bit-identical
@@ -97,7 +94,6 @@ struct DiffOutcome {
                                            int64_t n, sim::TimeContext ctx,
                                            uint64_t seed = 42,
                                            int64_t strideElems = 1,
-                                           int64_t loopN = 0,
                                            const GenericData* tmpl = nullptr);
 
 }  // namespace ifko::fko

@@ -49,7 +49,7 @@ std::shared_ptr<const CompiledCandidate> EvalPipeline::build(
   fko::CompileOptions opts;
   opts.tuning = params;
   cand->compiled = fko::compileKernel(lowered_.fn, opts, machine_);
-  if (cand->compiled.ok && config_.predecode)
+  if (cand->compiled.ok)
     cand->decoded = sim::decodeFunction(cand->compiled.fn, machine_);
   return cand;
 }
@@ -57,8 +57,7 @@ std::shared_ptr<const CompiledCandidate> EvalPipeline::build(
 std::shared_ptr<const CompiledCandidate> EvalPipeline::compile(
     const opt::TuningParams& params) {
   const std::string key = opt::formatTuningSpec(params);
-  const bool tryPrefix =
-      config_.reusePrefixCompiles && hasEnabledPrefetch(params);
+  const bool tryPrefix = hasEnabledPrefetch(params);
   std::string pkey;
   PrefixEntry basis;
   {
@@ -97,8 +96,7 @@ std::shared_ptr<const CompiledCandidate> EvalPipeline::compile(
         inst.mem.disp += nit->second.distBytes - oit->second.distBytes;
       }
     }
-    if (config_.predecode)
-      out->decoded = sim::decodeFunction(out->compiled.fn, machine_);
+    out->decoded = sim::decodeFunction(out->compiled.fn, machine_);
     out->testerVerdict = basis.base->testerVerdict;
     cand = std::move(out);
     patched = true;
@@ -145,7 +143,7 @@ EvalPipeline::Stats EvalPipeline::stats() const {
 }
 
 const kernels::KernelData* EvalPipeline::dataTemplate() {
-  if (!config_.reuseKernelData || spec_ == nullptr) return nullptr;
+  if (spec_ == nullptr) return nullptr;
   std::lock_guard<std::mutex> lock(mu_);
   if (dataTmpl_ == nullptr)
     dataTmpl_ = std::make_unique<kernels::KernelData>(
@@ -154,7 +152,7 @@ const kernels::KernelData* EvalPipeline::dataTemplate() {
 }
 
 const fko::GenericData* EvalPipeline::genericTemplate() {
-  if (!config_.reuseKernelData || !lowered_.ok) return nullptr;
+  if (!lowered_.ok) return nullptr;
   std::lock_guard<std::mutex> lock(mu_);
   if (genTmpl_ == nullptr)
     genTmpl_ = std::make_unique<fko::GenericData>(fko::makeGenericData(
@@ -163,105 +161,26 @@ const fko::GenericData* EvalPipeline::genericTemplate() {
 }
 
 EvalOutcome evaluateCandidate(const EvalRequest& req) {
-  const SearchConfig& config = *req.config;
-  if (!req.lowered->ok) return {0, EvalOutcome::Status::CompileFail};
+  EvalPipeline& pipe = *req.pipeline;
+  const SearchConfig& config = pipe.config();
+  if (!pipe.lowered().ok) return {0, EvalOutcome::Status::CompileFail};
 
-  std::shared_ptr<const CompiledCandidate> held;
-  fko::CompileResult local;
-  const fko::CompileResult* compiled = nullptr;
-  const sim::DecodedFunction* decoded = nullptr;
-  if (req.pipeline != nullptr) {
-    held = req.pipeline->compile(req.params);
-    compiled = &held->compiled;
-    if (compiled->ok && held->decoded.numBlocks > 0) decoded = &held->decoded;
-  } else {
-    fko::CompileOptions opts;
-    opts.tuning = req.params;
-    local = fko::compileKernel(req.lowered->fn, opts, *req.machine);
-    compiled = &local;
-  }
-  if (!compiled->ok) return {0, EvalOutcome::Status::CompileFail};
+  const std::shared_ptr<const CompiledCandidate> cand =
+      pipe.compile(req.params);
+  if (!cand->compiled.ok) return {0, EvalOutcome::Status::CompileFail};
+  if (!pipe.testerPasses(cand)) return {0, EvalOutcome::Status::TesterFail};
 
-  if (config.testerN > 0) {
-    bool pass;
-    if (req.pipeline != nullptr) {
-      pass = req.pipeline->testerPasses(held);
-    } else {
-      pass = req.spec != nullptr
-                 ? kernels::testKernel(*req.spec, compiled->fn, config.testerN)
-                       .ok
-                 : fko::testAgainstUnoptimized(*req.hilSource, compiled->fn,
-                                               config.testerN)
-                       .ok;
-    }
-    if (!pass) return {0, EvalOutcome::Status::TesterFail};
-  }
-
-  // Screening runs (timeN > 0) truncate the loop trip count but keep the
-  // operands at the full config.n: the screen is an exact prefix of the
-  // full-size run (see sim/timer.h).
-  const int64_t loopN = req.timeN > 0 ? req.timeN : 0;
-  sim::TimeResult timed;
-  if (req.spec != nullptr) {
-    const kernels::KernelData* tmpl =
-        req.pipeline != nullptr ? req.pipeline->dataTemplate() : nullptr;
-    timed = decoded != nullptr
-                ? sim::timeKernel(*req.machine, *decoded, *req.spec, config.n,
-                                  config.context, config.seed, loopN, tmpl)
-                : sim::timeKernel(*req.machine, compiled->fn, *req.spec,
-                                  config.n, config.context, config.seed, loopN,
-                                  tmpl);
-  } else {
-    int64_t strideElems = 1;
-    const fko::GenericData* tmpl = nullptr;
-    if (req.pipeline != nullptr) {
-      strideElems = req.pipeline->maxStrideElems();
-      tmpl = req.pipeline->genericTemplate();
-    } else {
-      for (const auto& a : req.analysis->arrays)
-        strideElems = std::max(strideElems, a.strideElems);
-    }
-    timed = decoded != nullptr
-                ? fko::timeCompiled(*req.machine, *decoded, config.n,
-                                    config.context, config.seed, strideElems,
-                                    loopN, tmpl)
-                : fko::timeCompiled(*req.machine, compiled->fn, config.n,
-                                    config.context, config.seed, strideElems,
-                                    loopN, tmpl);
-  }
+  const sim::TimeResult timed =
+      pipe.spec() != nullptr
+          ? sim::timeKernel(pipe.machine(), cand->decoded, *pipe.spec(),
+                            config.n, config.context, config.seed, 0,
+                            pipe.dataTemplate())
+          : fko::timeCompiled(pipe.machine(), cand->decoded, config.n,
+                              config.context, config.seed,
+                              pipe.maxStrideElems(), pipe.genericTemplate());
   EvalOutcome out{timed.cycles, EvalOutcome::Status::Timed};
-  out.counters = collectCounters(*compiled, timed);
+  out.counters = collectCounters(cand->compiled, timed);
   return out;
-}
-
-bool screeningApplies(const SearchConfig& config, size_t cohort) {
-  return config.screenN > 0 && 2 * config.screenN < config.n &&
-         cohort >= kScreenMinCohort;
-}
-
-EvalOutcome deltaScreen(const EvalOutcome& head, const EvalOutcome& tail) {
-  EvalOutcome d = tail;
-  // The tail strictly contains the head run, so the subtraction cannot
-  // underflow on usable outcomes; guard anyway so a surprise never wraps.
-  d.cycles = tail.cycles > head.cycles ? tail.cycles - head.cycles : 1;
-  d.attempts = head.attempts + tail.attempts - 1;
-  return d;
-}
-
-std::vector<char> screenSurvivors(const SearchConfig& config,
-                                  const std::vector<EvalOutcome>& screens,
-                                  uint64_t incumbentScreen) {
-  std::vector<char> advance(screens.size(), 0);
-  uint64_t best = 0;
-  for (const EvalOutcome& s : screens)
-    if (s.usable() && (best == 0 || s.cycles < best)) best = s.cycles;
-  if (best == 0) return advance;  // every screen failed; verdicts are final
-  if (incumbentScreen != 0) best = std::min(best, incumbentScreen);
-  const double cutoff = static_cast<double>(best) * config.screenMargin;
-  for (size_t i = 0; i < screens.size(); ++i)
-    advance[i] = screens[i].usable() &&
-                 static_cast<double>(screens[i].cycles) <= cutoff;
-  return advance;
 }
 
 }  // namespace ifko::search

@@ -13,17 +13,19 @@
 // timed on the simulated machine and checked by the tester ("unnecessary in
 // theory, but useful in practice").
 //
-// The search core is parameterized over an evaluation backend (Evaluator):
-// each dimension hands its mutually independent candidates over as one
-// batch, which is what lets search::Orchestrator fan evaluations out to a
-// worker thread pool, memoize them in a persistent cache, and trace them —
-// without the search logic knowing.  Batching does not change the result:
-// the committed point is the earliest strict improvement, exactly what the
-// serial scan picks.
+// The sweep itself is a SearchStrategy (search/strategy/
+// linesearch_strategy.cpp) run by the orchestrator's strategy driver: each
+// dimension hands its mutually independent candidates over as one batch,
+// which the orchestrator fans out to a worker pool, memoizes in its cache
+// and traces.  Batching does not change the result: the committed point is
+// the earliest strict improvement, exactly what a serial scan picks.
+//
+// This header holds the search vocabulary every layer shares — the config,
+// the outcome and result types, FKO's defaults — and the one-kernel entry
+// points tuneKernel/tuneSource.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -37,53 +39,19 @@
 
 namespace ifko::search {
 
-struct EvalRequest;  // search/evalpipeline.h
-
 struct SearchConfig {
   int64_t n = 80000;  ///< problem size to time (paper: 80000 / 1024)
   sim::TimeContext context = sim::TimeContext::OutOfCache;
   uint64_t seed = 42;
   /// Verify each candidate's output at this length (0 disables the tester).
   int64_t testerN = 256;
-  /// Worker threads for candidate evaluation under search::Orchestrator
-  /// (the built-in serial evaluator ignores it).  Any value produces
+  /// Worker threads for candidate evaluation.  Any value produces
   /// identical results; it only changes turnaround.
   int jobs = 1;
   /// Also search the extension transforms (block fetch, CISC indexing) the
   /// paper lists as planned work.  Off by default so Table 3 matches the
   /// evaluated FKO.
   bool searchExtensions = false;
-
-  // --- evaluation fast path (search/evalpipeline.h) ------------------------
-  /// Execute timing runs over the pre-decoded instruction form
-  /// (sim/decode.h) when an EvalPipeline is attached.  Bit-identical cycles
-  /// to the interpreter path; exists as a switch only for A/B testing.
-  bool predecode = true;
-  /// Reuse compiled artifacts across candidates that differ only in
-  /// prefetch distances (the largest line-search dimension): the pipeline
-  /// patches the Pref displacements of a previously compiled sibling
-  /// instead of re-running the pass stack.  Byte-identical output either
-  /// way; a switch for A/B testing.
-  bool reusePrefixCompiles = true;
-  /// Generate the timing operands once per search and clone the pristine
-  /// image per evaluation (timed runs mutate their operands) instead of
-  /// re-running data generation every time.  The clone is bit-for-bit the
-  /// fresh image; a switch for A/B testing.
-  bool reuseKernelData = true;
-  /// Screen-then-confirm (opt-in, 0 = off): when a batch has at least
-  /// kScreenMinCohort cache-missing candidates, each is first timed over
-  /// this many loop iterations ON THE FULL-SIZE OPERANDS — an exact prefix
-  /// of the full run, so prefetch distances and strides behave as they do
-  /// at full length.  Only candidates within screenMargin of the cohort's
-  /// best screen time (and of the incumbent's, once one is known) are
-  /// re-timed at the full `n` ("confirmed").  The rest score
-  /// Status::ScreenedOut (cycles 0, never committed).  Every cycle count
-  /// the search reports/commits still comes from a full-size run, so
-  /// confirmed results are comparable across screened and unscreened
-  /// searches; the set of candidates that got a full look may differ.
-  int64_t screenN = 0;
-  /// Screen survivors: screenCycles <= margin * bestScreenCycles.
-  double screenMargin = 1.25;
 
   // --- fault isolation (search/faultguard.h) -------------------------------
   /// Per-candidate deadline in "milliseconds", converted at a fixed
@@ -116,14 +84,6 @@ struct SearchConfig {
  private:
   bool reducedGrids_ = false;
 };
-
-/// Smallest cohort of cache-missing candidates screen-then-confirm applies
-/// to: below this the screening run costs more than it saves (and DEFAULTS,
-/// always a batch of one, is always confirmed at full size).  Two is enough
-/// once an incumbent yardstick exists (SerialEvaluator::noteConfirmed):
-/// most of a line search's batches are pairs, and a pair that cannot beat
-/// the incumbent costs two short screens instead of two full-size runs.
-inline constexpr size_t kScreenMinCohort = 2;
 
 /// One completed line-search dimension, for the Figure 7 ledger.
 struct DimensionResult {
@@ -178,17 +138,13 @@ struct TuneResult {
 ///                injected fault, contained by search/faultguard.h
 ///   FailUnknown  a pre-status cache line recorded only cycles == 0; the
 ///                failure flavour was never written down
-///   ScreenedOut  screen-then-confirm (SearchConfig::screenN) timed the
-///                candidate at the reduced size and it fell outside the
-///                confirmation margin; it was never timed at full size and
-///                can never be committed
 ///
 /// CompileFail/TesterFail are deterministic rejections; Timeout/Crash are
 /// the "hard" failures the guarded path retries and the orchestrator's
 /// quarantine counts.
 struct EvalOutcome {
   enum class Status : uint8_t {
-    Timed, CompileFail, TesterFail, Timeout, Crash, FailUnknown, ScreenedOut
+    Timed, CompileFail, TesterFail, Timeout, Crash, FailUnknown
   };
   uint64_t cycles = 0;
   Status status = Status::Timed;
@@ -208,85 +164,60 @@ struct EvalOutcome {
 };
 
 /// Trace/cache name: "timed", "compile_fail", "tester_fail", "timeout",
-/// "crash", "fail" (FailUnknown), "screened" (ScreenedOut).
+/// "crash", "fail" (FailUnknown).
 [[nodiscard]] std::string_view evalStatusName(EvalOutcome::Status s);
 /// Inverse of evalStatusName; nullopt for unknown strings.
 [[nodiscard]] std::optional<EvalOutcome::Status> parseEvalStatus(
     std::string_view name);
 
-/// Evaluation backend for the search core.
-class Evaluator {
- public:
-  virtual ~Evaluator() = default;
-  /// Evaluates batch[i] -> result[i].  `dimension` names the current search
-  /// dimension ("DEFAULTS", "WNT", "PF DST", ...) for tracing backends.
-  [[nodiscard]] virtual std::vector<EvalOutcome> evaluateBatch(
-      const std::vector<opt::TuningParams>& batch,
-      const std::string& dimension) = 0;
-  /// Real (non-memoized) compile+test+time evaluations performed so far.
-  [[nodiscard]] virtual int evaluations() const = 0;
-  /// Called when a dimension's sweep finishes, with its committed best.
-  virtual void onDimensionEnd(const std::string& dimension,
-                              uint64_t bestCycles,
-                              const opt::TuningParams& best);
-};
-
-/// Compile + differential-test + time one candidate.  A pure function of
-/// its request (the simulator is deterministic and side-effect-free), so it
-/// is safe to call concurrently from worker threads.  Declared in
-/// search/evalpipeline.h with the EvalRequest it consumes.
-[[nodiscard]] EvalOutcome evaluateCandidate(const EvalRequest& req);
-
-/// Deprecated loose-parameter shim for the EvalRequest form above; builds a
-/// request (no pipeline, so no fast path) and forwards.  One release of
-/// grace for out-of-tree callers, then it goes away.
-[[deprecated("pack the arguments into a search::EvalRequest")]]
-[[nodiscard]] EvalOutcome evaluateCandidate(const std::string& hilSource,
-                                            const fko::LoweredKernel& lowered,
-                                            const kernels::KernelSpec* spec,
-                                            const fko::AnalysisReport& analysis,
-                                            const arch::MachineConfig& machine,
-                                            const SearchConfig& config,
-                                            const opt::TuningParams& params);
-
-/// The built-in evaluation backend: serial, memoized on the canonical
-/// TuningSpec string for its own lifetime.  `source` is copied; `spec` may
-/// be null (differential checking), and `machine`/`config` must outlive
-/// the evaluator.  tuneKernel/tuneSource use this; the strategy wrappers
-/// (strategy/strategy.h) reuse it so every strategy times candidates
-/// through the same path.
-[[nodiscard]] std::unique_ptr<Evaluator> makeSerialEvaluator(
-    std::string source, const kernels::KernelSpec* spec,
-    const arch::MachineConfig& machine, const SearchConfig& config);
-
-/// The search core, parameterized over the evaluation backend.  tuneKernel
-/// and tuneSource wrap it with the built-in serial memoizing evaluator;
-/// search::Orchestrator supplies a parallel, cached, tracing one.  (How a
-/// candidate is checked — reference BLAS or differential — is the
-/// evaluator's concern, so no KernelSpec appears here.)
-[[nodiscard]] TuneResult runLineSearch(const std::string& hilSource,
-                                       const arch::MachineConfig& machine,
-                                       const SearchConfig& config,
-                                       Evaluator& evaluator);
-
 /// FKO's default parameters for this kernel/machine (no search).
 [[nodiscard]] opt::TuningParams fkoDefaults(const fko::AnalysisReport& report,
                                             const arch::MachineConfig& machine);
 
-/// Runs the full iterative search on a surveyed BLAS kernel (candidates
-/// are checked against the hand-written reference implementations).
+/// Shared evaluation budget, enforced by the strategy driver loop
+/// (search/strategy/strategy.h has the budget semantics).
+struct Budget {
+  int maxEvaluations = 0;  ///< observed-candidate cap; 0 = unlimited
+  uint64_t maxCycles = 0;  ///< simulated-cycle cap; 0 = unlimited
+  uint64_t seed = 1;       ///< PRNG seed for the stochastic strategies
+
+  [[nodiscard]] bool unlimited() const {
+    return maxEvaluations == 0 && maxCycles == 0;
+  }
+};
+
+/// The search policies (search/strategy/strategy.h).  Line is the paper's
+/// modified line search.
+enum class StrategyKind : uint8_t {
+  Line,
+  Random,
+  HillClimb,
+  Evolve,
+  Attribution,
+  Bandit,
+};
+
+/// Runs one search on a surveyed BLAS kernel (candidates are checked
+/// against the hand-written reference implementations).  A one-kernel
+/// search::Orchestrator with a memory-only cache, no trace and no
+/// quarantine: config.jobs sizes its worker pool and never changes the
+/// result.
 [[nodiscard]] TuneResult tuneKernel(const kernels::KernelSpec& spec,
                                     const arch::MachineConfig& machine,
-                                    const SearchConfig& config);
+                                    const SearchConfig& config,
+                                    StrategyKind kind = StrategyKind::Line,
+                                    const Budget& budget = {});
 
-/// Runs the full iterative search on an arbitrary HIL kernel.  Candidates
-/// are checked differentially against the unoptimized lowering of the same
-/// source (fko::testAgainstUnoptimized), so no reference implementation is
+/// Runs one search on an arbitrary HIL kernel.  Candidates are checked
+/// differentially against the unoptimized lowering of the same source
+/// (fko::testAgainstUnoptimized), so no reference implementation is
 /// required — the "generalize it enough to tune almost any floating point
 /// kernel" goal of the paper.
 [[nodiscard]] TuneResult tuneSource(const std::string& hilSource,
                                     const arch::MachineConfig& machine,
-                                    const SearchConfig& config);
+                                    const SearchConfig& config,
+                                    StrategyKind kind = StrategyKind::Line,
+                                    const Budget& budget = {});
 
 /// Times one parameter set (compile + simulate).  Exposed for the
 /// benchmarks' fixed-parameter runs; returns 0 cycles on compile failure.

@@ -27,11 +27,11 @@ struct QuarantineSignal {
 
 }  // namespace
 
-/// The orchestrated backend: consults the shared EvalCache, fans cache
-/// misses out to the pool, and emits candidate/dimension trace events.
-/// Lookups, inserts, and trace writes all happen on the orchestrator
-/// thread; workers only run the pure evaluateCandidate.
-class OrchestratedEvaluator final : public Evaluator {
+/// The evaluator every search runs through: consults the EvalCache, fans
+/// cache misses out to the pool, and emits candidate/dimension trace
+/// events.  Lookups, inserts, and trace writes all happen on the
+/// orchestrator thread; workers only run the pure evaluateCandidate.
+class OrchestratedEvaluator {
  public:
   OrchestratedEvaluator(Orchestrator& orch, const KernelJob& job)
       : orch_(orch), job_(job),
@@ -44,9 +44,17 @@ class OrchestratedEvaluator final : public Evaluator {
                  orch.config_.search.testerN,
                  /*params=*/""} {}
 
+  /// The kernel's front-end analysis (lowered and analyzed once, by the
+  /// pipeline).
+  [[nodiscard]] const fko::AnalysisReport& analysis() const {
+    return pipeline_.analysis();
+  }
+
+  /// Evaluates batch[i] -> result[i].  `dimension` names the current search
+  /// dimension ("DEFAULTS", "WNT", "PF DST", ...) for the trace.
   std::vector<EvalOutcome> evaluateBatch(
       const std::vector<opt::TuningParams>& batch,
-      const std::string& dimension) override {
+      const std::string& dimension) {
     if (dimension != lastDim_) {
       lastDim_ = dimension;
       JsonWriter w;
@@ -79,69 +87,19 @@ class OrchestratedEvaluator final : public Evaluator {
       else copyFrom[i] = it->second;
     }
 
-    const SearchConfig& cfg = orch_.config_.search;
     FaultInjector* injector =
         orch_.injector_.empty() ? nullptr : &orch_.injector_;
     // guardedEvaluateCandidate never throws — workers cannot unwind — but
     // parallelFor would contain and rethrow an exception here regardless.
-    auto runOver = [&](const std::vector<size_t>& idx, int64_t timeN,
-                       std::vector<EvalOutcome>& dst) {
-      auto evalOne = [&](size_t k) {
-        EvalRequest req = pipeline_.request(batch[idx[k]]);
-        req.injector = injector;
-        req.timeN = timeN;
-        dst[k] = guardedEvaluateCandidate(req);
-      };
-      if (orch_.pool_ != nullptr) {
-        orch_.pool_->parallelFor(idx.size(), evalOne);
-      } else {
-        for (size_t k = 0; k < idx.size(); ++k) evalOne(k);
-      }
+    auto evalOne = [&](size_t k) {
+      EvalRequest req = pipeline_.request(batch[missIdx[k]]);
+      req.injector = injector;
+      out[missIdx[k]] = guardedEvaluateCandidate(req);
     };
-
-    if (screeningApplies(cfg, missIdx.size())) {
-      // Screen-then-confirm: time every miss at the reduced screenN, then
-      // re-time only the survivors at full size.  Non-survivors score
-      // ScreenedOut (cached under the full-size key, so a warm replay walks
-      // the same trajectory); failed screens already ARE the final verdict.
-      std::vector<EvalOutcome> heads(missIdx.size());
-      std::vector<EvalOutcome> tails(missIdx.size());
-      runOver(missIdx, cfg.screenN, heads);
-      runOver(missIdx, 2 * cfg.screenN, tails);
-      std::vector<EvalOutcome> screens(missIdx.size());
-      for (size_t k = 0; k < missIdx.size(); ++k)
-        screens[k] = !heads[k].usable()   ? heads[k]
-                     : !tails[k].usable() ? tails[k]
-                                          : deltaScreen(heads[k], tails[k]);
-      std::vector<char> advance =
-          screenSurvivors(cfg, screens, incumbentScreen_);
-      std::vector<size_t> confirmIdx;
-      std::vector<size_t> confirmSlot;
-      for (size_t k = 0; k < missIdx.size(); ++k) {
-        if (advance[k]) {
-          confirmIdx.push_back(missIdx[k]);
-          confirmSlot.push_back(k);
-        } else if (screens[k].usable()) {
-          out[missIdx[k]] = EvalOutcome{0, EvalOutcome::Status::ScreenedOut};
-          out[missIdx[k]].attempts = screens[k].attempts;
-        } else {
-          out[missIdx[k]] = screens[k];
-        }
-      }
-      std::vector<EvalOutcome> confirms(confirmIdx.size());
-      runOver(confirmIdx, /*timeN=*/0, confirms);
-      for (size_t c = 0; c < confirmIdx.size(); ++c) {
-        out[confirmIdx[c]] = confirms[c];
-        out[confirmIdx[c]].attempts += screens[confirmSlot[c]].attempts - 1;
-        noteConfirmed(confirms[c], screens[confirmSlot[c]].cycles);
-      }
+    if (orch_.pool_ != nullptr) {
+      orch_.pool_->parallelFor(missIdx.size(), evalOne);
     } else {
-      std::vector<EvalOutcome> results(missIdx.size());
-      runOver(missIdx, /*timeN=*/0, results);
-      for (size_t k = 0; k < missIdx.size(); ++k) {
-        out[missIdx[k]] = results[k];
-        noteConfirmed(results[k], 0);
-      }
+      for (size_t k = 0; k < missIdx.size(); ++k) evalOne(k);
     }
 
     for (size_t i : missIdx) {
@@ -188,10 +146,12 @@ class OrchestratedEvaluator final : public Evaluator {
 
   [[nodiscard]] const FailureCounts& faults() const { return faults_; }
 
-  int evaluations() const override { return evaluations_; }
+  /// Real (non-cached) compile+test+time evaluations performed so far.
+  [[nodiscard]] int evaluations() const { return evaluations_; }
 
+  /// Called when a dimension's sweep finishes, with its committed best.
   void onDimensionEnd(const std::string& dimension, uint64_t bestCycles,
-                      const opt::TuningParams& best) override {
+                      const opt::TuningParams& best) {
     JsonWriter w;
     w.field("event", "dimension_end")
         .field("kernel", job_.name)
@@ -208,29 +168,135 @@ class OrchestratedEvaluator final : public Evaluator {
     return k;
   }
 
-  /// Track the search incumbent so screenSurvivors can skip full-size
-  /// confirmation of candidates that cannot beat it.  Runs on the
-  /// orchestrator thread after the batch barrier — never racing the
-  /// workers.  `screenCycles` is the candidate's own screen-size time (0
-  /// when it ran unscreened — then only the full-size best advances and the
-  /// screen yardstick stays put).
-  void noteConfirmed(const EvalOutcome& full, uint64_t screenCycles) {
-    if (!full.usable()) return;
-    if (bestFull_ != 0 && full.cycles >= bestFull_) return;
-    bestFull_ = full.cycles;
-    if (screenCycles != 0) incumbentScreen_ = screenCycles;
-  }
-
   Orchestrator& orch_;
   const KernelJob& job_;
   EvalPipeline pipeline_;
   EvalKey baseKey_;
   std::string lastDim_;
   int evaluations_ = 0;
-  uint64_t bestFull_ = 0;         ///< best full-size cycles confirmed so far
-  uint64_t incumbentScreen_ = 0;  ///< that incumbent's screen-size cycles
   FailureCounts faults_;
 };
+
+namespace {
+
+/// The fixed batch-size ceiling handed to propose().  Deliberately not
+/// derived from config.jobs: the hint shapes the proposal sequence, and
+/// that sequence must be identical at every --jobs value.
+constexpr int kBatchHint = 16;
+
+/// The strategy driver loop (search/strategy/strategy.h has the contract):
+/// evaluates the strategy's proposals through `eval` until the strategy
+/// finishes or the budget is spent, tracking the best-so-far frontier and
+/// relaying the strategy's ledger as dimension_end events.
+///
+/// The job's warm start (a wisdom record's parameters, or the one its
+/// deferred provider picks once the DEFAULTS outcome is known) is evaluated
+/// immediately after DEFAULTS as the "WISDOM" dimension, so it becomes the
+/// incumbent the search must beat.  It counts against the budget like any
+/// observed candidate but is never reported to the strategy: proposal
+/// sequences are identical with or without it.
+TuneResult runStrategySearch(const KernelJob& job,
+                             const arch::MachineConfig& machine,
+                             const SearchConfig& config,
+                             SearchStrategy& strategy, const Budget& budget,
+                             OrchestratedEvaluator& eval) {
+  TuneResult result;
+  result.analysis = eval.analysis();
+  if (!result.analysis.ok) {
+    result.error = result.analysis.error;
+    return result;
+  }
+
+  const opt::ParamSpace space = spaceFor(result.analysis, machine, config);
+  const opt::TuningParams defaults = fkoDefaults(result.analysis, machine);
+  result.defaults = defaults;
+  strategy.init(space, defaults);
+
+  // The DEFAULTS point anchors every strategy (and the budget: it is
+  // proposal #1, so a warm cache cannot change the trajectory).
+  const EvalOutcome def = eval.evaluateBatch({defaults}, "DEFAULTS")[0];
+  if (def.cycles == 0) {
+    result.error = "default parameters failed to compile/time";
+    result.evaluations = eval.evaluations();
+    return result;
+  }
+  strategy.observe(defaults, def);
+  result.defaultCycles = def.cycles;
+
+  opt::TuningParams best = defaults;
+  uint64_t bestCycles = def.cycles;
+  int proposals = 1;
+  uint64_t cyclesSpent = def.cycles;
+  result.frontier.push_back({proposals, bestCycles});
+
+  // Warm start: time the remembered winner once, up front.  A failing or
+  // slower-than-defaults warm point simply never becomes the incumbent —
+  // stale wisdom can cost one evaluation, never the result.  The deferred
+  // form sees the DEFAULTS outcome first, so a wisdom lookup can rank its
+  // candidates by similarity to this kernel's own attribution.
+  const std::optional<opt::TuningParams> warmStart =
+      job.warmStartProvider ? job.warmStartProvider(def) : job.warmStart;
+  if (warmStart.has_value() && !(*warmStart == defaults)) {
+    const EvalOutcome warm = eval.evaluateBatch({*warmStart}, "WISDOM")[0];
+    ++proposals;
+    cyclesSpent += warm.cycles;
+    if (warm.usable() && warm.cycles < bestCycles) {
+      bestCycles = warm.cycles;
+      best = *warmStart;
+      result.frontier.push_back({proposals, bestCycles});
+    }
+  }
+
+  // Relays new dimension-ledger entries to the evaluator as dimension_end
+  // events, preserving the evaluate -> dimension_end -> next-dimension
+  // order the line search has always traced.
+  size_t ledgerSent = 0;
+  auto flushLedger = [&] {
+    std::vector<DimensionResult> led = strategy.ledger();
+    for (; ledgerSent < led.size(); ++ledgerSent)
+      eval.onDimensionEnd(led[ledgerSent].name, led[ledgerSent].cyclesAfter,
+                          best);
+  };
+
+  auto budgetSpent = [&] {
+    if (budget.maxEvaluations > 0 && proposals >= budget.maxEvaluations)
+      return true;
+    if (budget.maxCycles > 0 && cyclesSpent >= budget.maxCycles) return true;
+    return false;
+  };
+
+  while (!budgetSpent() && !strategy.done()) {
+    int hint = kBatchHint;
+    if (budget.maxEvaluations > 0)
+      hint = std::min(hint, budget.maxEvaluations - proposals);
+    Proposal p = strategy.propose(hint);
+    flushLedger();
+    if (p.candidates.empty()) break;
+    const std::vector<EvalOutcome> outcomes =
+        eval.evaluateBatch(p.candidates, p.dimension);
+    for (size_t i = 0; i < p.candidates.size(); ++i) {
+      strategy.observe(p.candidates[i], outcomes[i]);
+      ++proposals;
+      cyclesSpent += outcomes[i].cycles;
+      if (outcomes[i].cycles != 0 && outcomes[i].cycles < bestCycles) {
+        bestCycles = outcomes[i].cycles;
+        best = p.candidates[i];
+        result.frontier.push_back({proposals, bestCycles});
+      }
+    }
+  }
+  flushLedger();
+
+  result.best = best;
+  result.bestCycles = bestCycles;
+  result.ledger = strategy.ledger();
+  result.evaluations = eval.evaluations();
+  result.proposals = proposals;
+  result.ok = true;
+  return result;
+}
+
+}  // namespace
 
 std::shared_ptr<EvalCache> openEvalCache(const OrchestratorConfig& config,
                                          std::string* error) {
@@ -323,10 +389,8 @@ KernelOutcome Orchestrator::tune(const KernelJob& job) {
   std::unique_ptr<SearchStrategy> strategy =
       makeStrategy(config_.strategy, config_.budget);
   try {
-    outcome.result = runStrategySearch(
-        job.hilSource, machine_, config_.search, *strategy, config_.budget,
-        eval, job.warmStart.has_value() ? &*job.warmStart : nullptr,
-        job.warmStartProvider);
+    outcome.result = runStrategySearch(job, machine_, config_.search,
+                                       *strategy, config_.budget, eval);
   } catch (const QuarantineSignal& q) {
     outcome.result = {};
     outcome.result.ok = false;

@@ -10,6 +10,11 @@
 // changes the chosen parameters: jobs=N, warm or cold, reproduces the
 // serial search bit for bit.
 //
+// This is the only search path.  Every strategy, the paper's line search
+// included, runs through the driver loop and evaluator in orchestrator.cpp;
+// search::tuneKernel/tuneSource are one-kernel orchestrators with a
+// memory-only cache, no trace and no quarantine.
+//
 // Ownership: each tune() builds one EvalPipeline for its kernel and drops
 // it with the search; what outlives a search is the cache.  A one-shot
 // run's orchestrator opens its own cache and pool from its config.  A
@@ -76,8 +81,8 @@ struct OrchestratorConfig {
   std::string cacheShard;
   std::string tracePath;  ///< JSONL event trace ("" = off); appended per run
   /// Search policy.  Every kind runs through the same strategy driver;
-  /// Line with an unlimited budget reproduces the legacy serial
-  /// runLineSearch bit for bit (orchestrator_test holds it to that).
+  /// Line is the paper's line search, whose results the committed registry
+  /// fingerprint (tests/data/fingerprint.jsonl) holds.
   StrategyKind strategy = StrategyKind::Line;
   Budget budget;  ///< default: unlimited, seed 1
   /// Quarantine: once a kernel accumulates this many hard failures

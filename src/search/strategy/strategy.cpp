@@ -1,9 +1,6 @@
-// The strategy driver loop and the StrategyKind registry.
-//
-// runStrategySearch owns everything the strategies must not: evaluation
-// (through any search::Evaluator, so the orchestrator's pool/cache/trace
-// serve every strategy), the best-so-far frontier, dimension-ledger event
-// relay, and Budget enforcement.  Strategies only decide what to try next.
+// The StrategyKind registry and the shared parameter space.  The driver
+// loop that runs a strategy lives with its evaluator in
+// search/orchestrator.cpp.
 #include "search/strategy/strategy.h"
 
 #include <algorithm>
@@ -70,142 +67,6 @@ opt::ParamSpace spaceFor(const fko::AnalysisReport& report,
   }
   s.extensions = config.searchExtensions;
   return s;
-}
-
-namespace {
-
-/// The fixed batch-size ceiling handed to propose().  Deliberately not
-/// derived from config.jobs: the hint shapes the proposal sequence, and
-/// that sequence must be identical at every --jobs value.
-constexpr int kBatchHint = 16;
-
-}  // namespace
-
-TuneResult runStrategySearch(const std::string& hilSource,
-                             const arch::MachineConfig& machine,
-                             const SearchConfig& config,
-                             SearchStrategy& strategy, const Budget& budget,
-                             Evaluator& eval, const opt::TuningParams* warmStart,
-                             const WarmStartFn& warmStartFn) {
-  TuneResult result;
-  result.analysis = fko::analyzeKernel(hilSource, machine);
-  if (!result.analysis.ok) {
-    result.error = result.analysis.error;
-    return result;
-  }
-
-  const opt::ParamSpace space = spaceFor(result.analysis, machine, config);
-  const opt::TuningParams defaults = fkoDefaults(result.analysis, machine);
-  result.defaults = defaults;
-  strategy.init(space, defaults);
-
-  // The DEFAULTS point anchors every strategy (and the budget: it is
-  // proposal #1, so a warm cache cannot change the trajectory).
-  const EvalOutcome def = eval.evaluateBatch({defaults}, "DEFAULTS")[0];
-  if (def.cycles == 0) {
-    result.error = "default parameters failed to compile/time";
-    result.evaluations = eval.evaluations();
-    return result;
-  }
-  strategy.observe(defaults, def);
-  result.defaultCycles = def.cycles;
-
-  opt::TuningParams best = defaults;
-  uint64_t bestCycles = def.cycles;
-  int proposals = 1;
-  uint64_t cyclesSpent = def.cycles;
-  result.frontier.push_back({proposals, bestCycles});
-
-  // Warm start: time the remembered winner once, up front.  A failing or
-  // slower-than-defaults warm point simply never becomes the incumbent —
-  // stale wisdom can cost one evaluation, never the result.  The deferred
-  // form sees the DEFAULTS outcome first, so a wisdom lookup can rank its
-  // candidates by similarity to this kernel's own attribution.
-  std::optional<opt::TuningParams> deferredWarm;
-  if (warmStartFn) {
-    deferredWarm = warmStartFn(def);
-    warmStart = deferredWarm.has_value() ? &*deferredWarm : nullptr;
-  }
-  if (warmStart != nullptr && !(*warmStart == defaults)) {
-    const EvalOutcome warm = eval.evaluateBatch({*warmStart}, "WISDOM")[0];
-    ++proposals;
-    cyclesSpent += warm.cycles;
-    if (warm.usable() && warm.cycles < bestCycles) {
-      bestCycles = warm.cycles;
-      best = *warmStart;
-      result.frontier.push_back({proposals, bestCycles});
-    }
-  }
-
-  // Relays new dimension-ledger entries to the evaluator as dimension_end
-  // events, preserving the evaluate -> dimension_end -> next-dimension
-  // order the line search has always traced.
-  size_t ledgerSent = 0;
-  auto flushLedger = [&] {
-    std::vector<DimensionResult> led = strategy.ledger();
-    for (; ledgerSent < led.size(); ++ledgerSent)
-      eval.onDimensionEnd(led[ledgerSent].name, led[ledgerSent].cyclesAfter,
-                          best);
-  };
-
-  auto budgetSpent = [&] {
-    if (budget.maxEvaluations > 0 && proposals >= budget.maxEvaluations)
-      return true;
-    if (budget.maxCycles > 0 && cyclesSpent >= budget.maxCycles) return true;
-    return false;
-  };
-
-  while (!budgetSpent() && !strategy.done()) {
-    int hint = kBatchHint;
-    if (budget.maxEvaluations > 0)
-      hint = std::min(hint, budget.maxEvaluations - proposals);
-    Proposal p = strategy.propose(hint);
-    flushLedger();
-    if (p.candidates.empty()) break;
-    const std::vector<EvalOutcome> outcomes =
-        eval.evaluateBatch(p.candidates, p.dimension);
-    for (size_t i = 0; i < p.candidates.size(); ++i) {
-      strategy.observe(p.candidates[i], outcomes[i]);
-      ++proposals;
-      cyclesSpent += outcomes[i].cycles;
-      if (outcomes[i].cycles != 0 && outcomes[i].cycles < bestCycles) {
-        bestCycles = outcomes[i].cycles;
-        best = p.candidates[i];
-        result.frontier.push_back({proposals, bestCycles});
-      }
-    }
-  }
-  flushLedger();
-
-  result.best = best;
-  result.bestCycles = bestCycles;
-  result.ledger = strategy.ledger();
-  result.evaluations = eval.evaluations();
-  result.proposals = proposals;
-  result.ok = true;
-  return result;
-}
-
-TuneResult tuneKernelWithStrategy(const kernels::KernelSpec& spec,
-                                  const arch::MachineConfig& machine,
-                                  const SearchConfig& config, StrategyKind kind,
-                                  const Budget& budget) {
-  const std::string source = spec.hilSource();
-  std::unique_ptr<Evaluator> eval =
-      makeSerialEvaluator(source, &spec, machine, config);
-  std::unique_ptr<SearchStrategy> strategy = makeStrategy(kind, budget);
-  return runStrategySearch(source, machine, config, *strategy, budget, *eval);
-}
-
-TuneResult tuneSourceWithStrategy(const std::string& hilSource,
-                                  const arch::MachineConfig& machine,
-                                  const SearchConfig& config, StrategyKind kind,
-                                  const Budget& budget) {
-  std::unique_ptr<Evaluator> eval =
-      makeSerialEvaluator(hilSource, nullptr, machine, config);
-  std::unique_ptr<SearchStrategy> strategy = makeStrategy(kind, budget);
-  return runStrategySearch(hilSource, machine, config, *strategy, budget,
-                           *eval);
 }
 
 }  // namespace ifko::search

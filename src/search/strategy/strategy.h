@@ -10,10 +10,12 @@
 //   observe(spec, outcome)  one result per proposed candidate, in order
 //   done()                  the strategy has nothing left to propose
 //
-// The driver loop (runStrategySearch) owns everything else: it evaluates
-// proposals through any search::Evaluator — so the orchestrator's worker
-// pool, persistent cache, and JSONL trace work unchanged for every
-// strategy — tracks the best-so-far frontier, and enforces a shared Budget.
+// The driver loop (runStrategySearch in search/orchestrator.cpp) owns
+// everything else: it evaluates proposals through the orchestrator's
+// evaluator — so the worker pool, persistent cache, and JSONL trace work
+// unchanged for every strategy — tracks the best-so-far frontier, and
+// enforces a shared Budget (declared with StrategyKind in
+// search/linesearch.h, so tuneKernel can take both).
 //
 // Determinism contract: a strategy's proposal sequence is a pure function
 // of (space, defaults, budget seed, observed outcomes).  Outcomes are
@@ -42,17 +44,6 @@
 #include "search/linesearch.h"
 
 namespace ifko::search {
-
-/// Shared evaluation budget, enforced by the driver loop.
-struct Budget {
-  int maxEvaluations = 0;  ///< observed-candidate cap; 0 = unlimited
-  uint64_t maxCycles = 0;  ///< simulated-cycle cap; 0 = unlimited
-  uint64_t seed = 1;       ///< PRNG seed for the stochastic strategies
-
-  [[nodiscard]] bool unlimited() const {
-    return maxEvaluations == 0 && maxCycles == 0;
-  }
-};
 
 /// One batch of candidates from a strategy.  `dimension` labels the batch
 /// for trace events and dimension ledgers ("WNT", "RAND", "GEN 3", ...).
@@ -86,15 +77,6 @@ class SearchStrategy {
   }
 };
 
-enum class StrategyKind : uint8_t {
-  Line,
-  Random,
-  HillClimb,
-  Evolve,
-  Attribution,
-  Bandit,
-};
-
 /// Flag spellings: "line", "random", "hillclimb", "evolve", "attribution",
 /// "bandit".
 [[nodiscard]] std::string_view strategyName(StrategyKind kind);
@@ -113,43 +95,13 @@ enum class StrategyKind : uint8_t {
                                        const arch::MachineConfig& machine,
                                        const SearchConfig& config);
 
-/// The budgeted driver loop: evaluates the strategy's proposals through
-/// `evaluator` (serial, or the orchestrator's parallel cached one) until
-/// the strategy finishes or the budget is spent.  With StrategyKind::Line
-/// and an unlimited budget this reproduces runLineSearch bit for bit.
-///
-/// Deferred warm-start: called once, right after the DEFAULTS evaluation,
-/// with its outcome (counters included).  Returning a TuningParams makes it
-/// the "WISDOM" warm point — this is how wisdom lookups use the kernel's
-/// own attribution as the similarity probe for the performance-nearest
-/// record.  Must be deterministic (outcomes are); supersedes `warmStart`
-/// when both are given.
+/// Deferred warm-start for the driver loop (Orchestrator::tune): called
+/// once, right after the DEFAULTS evaluation, with its outcome (counters
+/// included).  Returning a TuningParams makes it the "WISDOM" warm point —
+/// this is how wisdom lookups use the kernel's own attribution as the
+/// similarity probe for the performance-nearest record.  Must be
+/// deterministic (outcomes are).
 using WarmStartFn =
     std::function<std::optional<opt::TuningParams>(const EvalOutcome&)>;
-
-/// `warmStart` (optional) is a previously known winner — a wisdom record's
-/// parameters — evaluated immediately after DEFAULTS as the "WISDOM"
-/// dimension so it becomes the incumbent the search must beat.  It counts
-/// against the budget like any observed candidate but is never reported to
-/// the strategy: proposal sequences are identical with or without it.
-/// `warmStartFn` defers that choice until the DEFAULTS outcome is known.
-[[nodiscard]] TuneResult runStrategySearch(
-    const std::string& hilSource, const arch::MachineConfig& machine,
-    const SearchConfig& config, SearchStrategy& strategy, const Budget& budget,
-    Evaluator& evaluator, const opt::TuningParams* warmStart = nullptr,
-    const WarmStartFn& warmStartFn = {});
-
-/// Convenience wrappers over the built-in serial evaluator, mirroring
-/// tuneKernel / tuneSource.
-[[nodiscard]] TuneResult tuneKernelWithStrategy(const kernels::KernelSpec& spec,
-                                                const arch::MachineConfig& machine,
-                                                const SearchConfig& config,
-                                                StrategyKind kind,
-                                                const Budget& budget);
-[[nodiscard]] TuneResult tuneSourceWithStrategy(const std::string& hilSource,
-                                                const arch::MachineConfig& machine,
-                                                const SearchConfig& config,
-                                                StrategyKind kind,
-                                                const Budget& budget);
 
 }  // namespace ifko::search

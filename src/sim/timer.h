@@ -41,8 +41,7 @@ struct TimeResult {
 ///
 /// `loopN` (0 = n) truncates the *iteration count* while the operands stay
 /// sized at `n`: the run is then an exact prefix of the full-length run —
-/// identical addresses, identical code — which is what the screen-then-
-/// confirm policy (search/evalpipeline.h) ranks candidates by.  `tmpl`, when
+/// identical addresses, identical code.  `tmpl`, when
 /// non-null, is a pristine operand image for (spec, n, seed) that is cloned
 /// instead of re-generating the data; the clone is bit-identical to a fresh
 /// makeKernelData, just cheaper.
