@@ -60,13 +60,18 @@ JsonWriter countersJson(const EvalCounters& c) {
   return w;
 }
 
-EvalCounters parseCounters(const std::map<std::string, JsonValue>& obj) {
+std::optional<EvalCounters> parseCounters(
+    const std::map<std::string, JsonValue>& obj) {
   EvalCounters c;
+  bool ok = true;
   forEachField(c, [&](const std::string& key, uint64_t& v) {
     auto it = obj.find(key);
-    if (it != obj.end() && it->second.kind == JsonValue::Kind::Number)
-      v = it->second.asUint();
+    if (it == obj.end()) return;
+    std::optional<uint64_t> parsed = it->second.uintValue();
+    if (parsed.has_value()) v = *parsed;
+    else ok = false;
   });
+  if (!ok) return std::nullopt;
   if (auto it = obj.find("repeat_converged");
       it != obj.end() && it->second.kind == JsonValue::Kind::Bool)
     c.repeatableConverged = it->second.boolean;

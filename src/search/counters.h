@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 
 #include "fko/compiler.h"
@@ -41,8 +42,9 @@ struct EvalCounters {
 
 /// Reads counters back from a parsed `counters` object.  Tolerant of
 /// missing fields (they stay zero/default), so older v3 writers and newer
-/// readers interoperate.
-[[nodiscard]] EvalCounters parseCounters(
+/// readers interoperate; nullopt when a present counter is not an unsigned
+/// integer (a damaged record).
+[[nodiscard]] std::optional<EvalCounters> parseCounters(
     const std::map<std::string, JsonValue>& obj);
 
 }  // namespace ifko::search

@@ -50,27 +50,28 @@ bool EvalCache::parseLine(const std::string& line, EvalKey* key,
       return nullptr;
     return &it->second.string;
   };
-  auto num = [&](const char* k, double* out) {
+  auto num = [&](const char* k) -> const JsonValue* {
     auto it = obj.find(k);
-    if (it == obj.end() || it->second.kind != JsonValue::Kind::Number)
-      return false;
-    *out = it->second.number;
-    return true;
+    return it != obj.end() ? &it->second : nullptr;
   };
   const std::string* source = str("source");
   const std::string* machine = str("machine");
   const std::string* context = str("context");
   const std::string* params = str("params");
-  double n = 0, seed = 0, testerN = 0, cycles = 0;
   if (source == nullptr || machine == nullptr || context == nullptr ||
-      params == nullptr || !num("n", &n) || !num("seed", &seed) ||
-      !num("tester_n", &testerN) || !num("cycles", &cycles))
+      params == nullptr)
     return false;
+  std::optional<int64_t> n, testerN;
+  std::optional<uint64_t> seed, cycles;
+  if (const JsonValue* v = num("n")) n = v->intValue();
+  if (const JsonValue* v = num("seed")) seed = v->uintValue();
+  if (const JsonValue* v = num("tester_n")) testerN = v->intValue();
+  if (const JsonValue* v = num("cycles")) cycles = v->uintValue();
+  if (!n || !seed || !testerN || !cycles) return false;
   // v2 lines carry the failure status; a v1 line's cycles==0 is some
   // failure whose flavour was never recorded.
-  *rec = EvalRecord{static_cast<uint64_t>(cycles),
-                    cycles != 0 ? EvalOutcome::Status::Timed
-                                : EvalOutcome::Status::FailUnknown};
+  *rec = EvalRecord{*cycles, *cycles != 0 ? EvalOutcome::Status::Timed
+                                          : EvalOutcome::Status::FailUnknown};
   if (const std::string* status = str("status")) {
     auto parsed = parseEvalStatus(*status);
     if (!parsed.has_value()) return false;
@@ -79,15 +80,11 @@ bool EvalCache::parseLine(const std::string& line, EvalKey* key,
   // v3 lines nest the observability counters; v2/v1 replay without.
   if (auto it = obj.find("counters");
       it != obj.end() && it->second.kind == JsonValue::Kind::Object &&
-      it->second.object != nullptr)
+      it->second.object != nullptr) {
     rec->counters = parseCounters(*it->second.object);
-  *key = EvalKey{*source,
-                 *machine,
-                 *context,
-                 static_cast<int64_t>(n),
-                 static_cast<uint64_t>(seed),
-                 static_cast<int64_t>(testerN),
-                 *params};
+    if (!rec->counters.has_value()) return false;
+  }
+  *key = EvalKey{*source, *machine, *context, *n, *seed, *testerN, *params};
   return true;
 }
 

@@ -1,6 +1,8 @@
 #include "search/resume.h"
 
+#include <climits>
 #include <fstream>
+#include <optional>
 
 #include "opt/params.h"
 #include "support/json.h"
@@ -17,11 +19,27 @@ std::string getStr(const std::map<std::string, JsonValue>& obj,
              : "";
 }
 
-double getNum(const std::map<std::string, JsonValue>& obj, const char* key) {
+/// An integer field; nullopt when missing or not an exact integer.
+std::optional<int64_t> getInt(const std::map<std::string, JsonValue>& obj,
+                              const char* key) {
   auto it = obj.find(key);
-  return it != obj.end() && it->second.kind == JsonValue::Kind::Number
-             ? it->second.number
-             : 0.0;
+  return it != obj.end() ? it->second.intValue() : std::nullopt;
+}
+
+/// A provenance tally: 0 when missing (older traces), nullopt when present
+/// but not an int-sized non-negative integer.
+std::optional<int> getCount(const std::map<std::string, JsonValue>& obj,
+                            const char* key) {
+  if (obj.find(key) == obj.end()) return 0;
+  const std::optional<int64_t> v = getInt(obj, key);
+  if (!v || *v < 0 || *v > INT_MAX) return std::nullopt;
+  return static_cast<int>(*v);
+}
+
+std::optional<uint64_t> getUint(const std::map<std::string, JsonValue>& obj,
+                                const char* key) {
+  auto it = obj.find(key);
+  return it != obj.end() ? it->second.uintValue() : std::nullopt;
 }
 
 bool getBool(const std::map<std::string, JsonValue>& obj, const char* key) {
@@ -61,11 +79,16 @@ ResumePlan loadResumePlan(const std::string& tracePath,
       ++plan.runs;
     } else if (event == "kernel_start") {
       const std::string kernel = getStr(obj, "kernel");
+      const std::optional<int64_t> startN = getInt(obj, "n");
+      if (!startN.has_value()) {
+        ++plan.damagedLines;
+        armed[kernel] = false;
+        continue;
+      }
       // Only results from the same configuration are trustworthy: the
       // trace file is append-mode and may hold runs at other settings.
       armed[kernel] = getStr(obj, "machine") == machine &&
-                      getStr(obj, "context") == context &&
-                      static_cast<int64_t>(getNum(obj, "n")) == n &&
+                      getStr(obj, "context") == context && *startN == n &&
                       getStr(obj, "strategy") == strategy;
     } else if (event == "kernel_end") {
       const std::string kernel = getStr(obj, "kernel");
@@ -73,14 +96,21 @@ ResumePlan loadResumePlan(const std::string& tracePath,
       if (it == armed.end() || !it->second) continue;
       it->second = false;
       if (!getBool(obj, "ok")) continue;  // failed kernels re-tune (warm)
+      const std::optional<uint64_t> best = getUint(obj, "best_cycles");
+      const std::optional<uint64_t> def = getUint(obj, "default_cycles");
+      const std::optional<int> evals = getCount(obj, "evaluations");
+      const std::optional<int> proposals = getCount(obj, "proposals");
+      if (!best || !def || !evals || !proposals) {
+        ++plan.damagedLines;  // the kernel re-tunes (warm)
+        continue;
+      }
       CompletedKernel done;
       done.kernel = kernel;
       done.bestParams = getStr(obj, "best_params");
-      done.bestCycles = static_cast<uint64_t>(getNum(obj, "best_cycles"));
-      done.defaultCycles =
-          static_cast<uint64_t>(getNum(obj, "default_cycles"));
-      done.evaluations = static_cast<int>(getNum(obj, "evaluations"));
-      done.proposals = static_cast<int>(getNum(obj, "proposals"));
+      done.bestCycles = *best;
+      done.defaultCycles = *def;
+      done.evaluations = *evals;
+      done.proposals = *proposals;
       plan.completed[kernel] = done;
     }
   }

@@ -1,10 +1,26 @@
 #include "support/json.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
 namespace ifko {
+
+std::optional<int64_t> JsonValue::intValue() const {
+  // [-2^63, 2^63): both bounds are exact doubles.
+  if (kind != Kind::Number || std::trunc(number) != number ||
+      number < -0x1p63 || number >= 0x1p63)
+    return std::nullopt;  // NaN fails the trunc comparison
+  return static_cast<int64_t>(number);
+}
+
+std::optional<uint64_t> JsonValue::uintValue() const {
+  if (kind != Kind::Number || std::trunc(number) != number || number < 0 ||
+      number >= 0x1p64)
+    return std::nullopt;
+  return static_cast<uint64_t>(number);
+}
 
 std::string jsonEscape(std::string_view s) {
   std::string out;

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -53,6 +54,16 @@ struct JsonValue {
   /// Set iff kind == Object (shared_ptr: JsonValue is incomplete here).
   std::shared_ptr<std::map<std::string, JsonValue>> object;
 
+  /// The number as an exact integer: nullopt unless this is a Number
+  /// holding an integral value inside int64_t.  File loaders read every
+  /// integer field through these, so a fractional, NaN or out-of-range
+  /// value is a damaged line, never a silently truncated one.
+  [[nodiscard]] std::optional<int64_t> intValue() const;
+  /// As intValue, for unsigned fields: negatives are nullopt too.
+  [[nodiscard]] std::optional<uint64_t> uintValue() const;
+
+  /// Unchecked truncating casts, for reading numbers this program itself
+  /// wrote (line-protocol replies, trace events in benchmarks).
   [[nodiscard]] int64_t asInt() const { return static_cast<int64_t>(number); }
   [[nodiscard]] uint64_t asUint() const {
     return static_cast<uint64_t>(number);

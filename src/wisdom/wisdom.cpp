@@ -132,11 +132,16 @@ std::optional<WisdomRecord> WisdomStore::parseRecord(const std::string& line,
     *out = it->second.number;
     return true;
   };
+  auto field = [&](const char* k) -> const JsonValue* {
+    auto it = obj.find(k);
+    return it != obj.end() ? &it->second : nullptr;
+  };
 
-  double schema = 0;
-  if (!num("wisdom_schema", &schema)) return std::nullopt;
-  const int64_t schemaInt = static_cast<int64_t>(schema);
-  if (schemaInt != kWisdomSchema && schemaInt != kWisdomSchemaCompat) {
+  const JsonValue* schemaField = field("wisdom_schema");
+  const std::optional<int64_t> schema =
+      schemaField != nullptr ? schemaField->intValue() : std::nullopt;
+  if (!schema.has_value()) return std::nullopt;
+  if (*schema != kWisdomSchema && *schema != kWisdomSchemaCompat) {
     // A well-formed record from another schema: drift, not damage.  Never
     // reinterpreted — a future version's fields may not mean what ours do.
     // v1 is the exception: a strict subset of v2 (it just lacks the
@@ -150,18 +155,24 @@ std::optional<WisdomRecord> WisdomStore::parseRecord(const std::string& line,
   const std::string* context = str("context");
   const std::string* nClass = str("n_class");
   const std::string* params = str("params");
-  double best = 0, def = 0, evals = 0;
   if (source == nullptr || machine == nullptr || context == nullptr ||
-      nClass == nullptr || params == nullptr || !num("best_cycles", &best) ||
-      !num("default_cycles", &def) || nClassExponent(*nClass) < 0)
+      nClass == nullptr || params == nullptr || nClassExponent(*nClass) < 0)
     return std::nullopt;
+  std::optional<uint64_t> best, def;
+  if (const JsonValue* v = field("best_cycles")) best = v->uintValue();
+  if (const JsonValue* v = field("default_cycles")) def = v->uintValue();
+  if (!best || !def) return std::nullopt;
 
   WisdomRecord rec;
   rec.key = {*source, *machine, *context, *nClass};
   rec.params = *params;
-  rec.bestCycles = static_cast<uint64_t>(best);
-  rec.defaultCycles = static_cast<uint64_t>(def);
-  if (num("evaluations", &evals)) rec.evaluations = static_cast<int64_t>(evals);
+  rec.bestCycles = *best;
+  rec.defaultCycles = *def;
+  if (const JsonValue* v = field("evaluations")) {
+    std::optional<int64_t> evals = v->intValue();
+    if (!evals) return std::nullopt;
+    rec.evaluations = *evals;
+  }
   if (const std::string* kernel = str("kernel")) rec.kernel = *kernel;
   if (const std::string* run = str("run")) rec.runId = *run;
   if (const std::string* cause = str("top_cause")) {

@@ -363,6 +363,33 @@ TEST(Resume, ReplayPairsOnlyMatchingCompletions) {
   std::remove(path.c_str());
 }
 
+TEST(Resume, NonIntegerAndNegativeNumbersCountAsDamage) {
+  const std::string path = tmpFile("dist_badnumbers.jsonl");
+  const std::string start =
+      R"({"event":"kernel_start","machine":"P4E","context":"out-of-cache","strategy":"line",)";
+  {
+    std::ofstream out(path);
+    // A fractional n never arms the kernel.
+    out << start << R"("kernel":"ddot","n":4096.5})" << "\n";
+    out << R"({"event":"kernel_end","kernel":"ddot","ok":true,"best_params":"sv=Y","best_cycles":1,"default_cycles":2,"evaluations":3,"proposals":4})"
+        << "\n";
+    // Negative or fractional result fields: the kernel re-tunes instead.
+    out << start << R"("kernel":"sdot","n":4096})" << "\n";
+    out << R"({"event":"kernel_end","kernel":"sdot","ok":true,"best_params":"sv=Y","best_cycles":-3,"default_cycles":2,"evaluations":3,"proposals":4})"
+        << "\n";
+    out << start << R"("kernel":"dasum","n":4096})" << "\n";
+    out << R"({"event":"kernel_end","kernel":"dasum","ok":true,"best_params":"sv=Y","best_cycles":1,"default_cycles":2,"evaluations":3.5,"proposals":4})"
+        << "\n";
+  }
+  std::string err;
+  ResumePlan plan =
+      loadResumePlan(path, "P4E", "out-of-cache", 4096, "line", &err);
+  EXPECT_TRUE(err.empty()) << err;
+  EXPECT_TRUE(plan.completed.empty());
+  EXPECT_EQ(plan.damagedLines, 3u);
+  std::remove(path.c_str());
+}
+
 // ---------------------------------------------------------------------------
 // The acceptance test: kill -9 mid-batch at a deterministic point, resume,
 // and end with results identical to an uninterrupted run — zero duplicate

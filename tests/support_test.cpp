@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "support/diagnostics.h"
 #include "support/env.h"
 #include "support/hash.h"
@@ -163,6 +165,29 @@ TEST(Json, ParseRoundTripsWriterOutput) {
   EXPECT_EQ(obj.at("n").asInt(), 4096);
   EXPECT_EQ(obj.at("hit").kind, JsonValue::Kind::Bool);
   EXPECT_FALSE(obj.at("hit").boolean);
+}
+
+TEST(Json, CheckedIntegerAccessors) {
+  std::map<std::string, JsonValue> obj;
+  ASSERT_TRUE(parseJsonObject(
+      "{\"i\":4096,\"neg\":-3,\"frac\":4096.9,\"big\":1e30,"
+      "\"zero\":0,\"s\":\"7\"}",
+      &obj));
+  EXPECT_EQ(obj.at("i").intValue(), 4096);
+  EXPECT_EQ(obj.at("i").uintValue(), 4096u);
+  EXPECT_EQ(obj.at("neg").intValue(), -3);
+  EXPECT_FALSE(obj.at("neg").uintValue().has_value());
+  EXPECT_FALSE(obj.at("frac").intValue().has_value());
+  EXPECT_FALSE(obj.at("frac").uintValue().has_value());
+  EXPECT_FALSE(obj.at("big").intValue().has_value());
+  EXPECT_FALSE(obj.at("big").uintValue().has_value());
+  EXPECT_EQ(obj.at("zero").uintValue(), 0u);
+  EXPECT_FALSE(obj.at("s").intValue().has_value());  // not a Number
+  JsonValue nan;
+  nan.kind = JsonValue::Kind::Number;
+  nan.number = std::nan("");
+  EXPECT_FALSE(nan.intValue().has_value());
+  EXPECT_FALSE(nan.uintValue().has_value());
 }
 
 TEST(Json, ParseRejectsMalformed) {

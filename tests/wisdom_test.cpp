@@ -213,6 +213,34 @@ TEST(WisdomStore, LoadCountsDamageAndSchemaDriftSeparately) {
   std::remove(path.c_str());
 }
 
+TEST(WisdomStore, NonIntegerAndNegativeNumbersCountAsDamage) {
+  const std::string path = tmpFile("wisdom_badnumbers.jsonl");
+  const std::string good = WisdomStore::formatRecord(
+      makeRecord("h", "P4E", "out-of-cache", "2^12", 100));
+  auto with = [&](const std::string& field, const std::string& value) {
+    std::string line = good;
+    const size_t at = line.find("\"" + field + "\":");
+    EXPECT_NE(at, std::string::npos) << field;
+    const size_t from = at + field.size() + 3;
+    line.replace(from, line.find_first_of(",}", from) - from, value);
+    return line;
+  };
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << good << "\n";
+    out << with("best_cycles", "99.5") << "\n";
+    out << with("default_cycles", "-3") << "\n";
+    out << with("evaluations", "1e30") << "\n";
+    out << with("wisdom_schema", "2.5") << "\n";
+  }
+  WisdomStore store;
+  ASSERT_TRUE(store.load(path));
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_EQ(store.damagedLines(), 4u);
+  EXPECT_EQ(store.schemaSkippedLines(), 0u);
+  std::remove(path.c_str());
+}
+
 TEST(WisdomStore, LoadMergesKeepBest) {
   // Concatenating two wisdom files must be a correct merge: the same key
   // twice in one file keeps the lower best_cycles whichever comes first.
