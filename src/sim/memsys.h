@@ -30,6 +30,8 @@ namespace ifko::sim {
 class MemSystem {
  public:
   explicit MemSystem(const arch::MachineConfig& cfg);
+  /// The config is held by reference: a temporary would dangle.
+  explicit MemSystem(arch::MachineConfig&&) = delete;
 
   /// The level that serviced the most recent load()/store() call.  Read by
   /// the timing model immediately after each access to attribute the stall

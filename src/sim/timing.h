@@ -96,6 +96,8 @@ struct InstCost {
 class TimingModel : public InstObserver {
  public:
   TimingModel(const arch::MachineConfig& cfg, MemSystem& mem);
+  /// The config is held by reference: a temporary would dangle.
+  TimingModel(arch::MachineConfig&&, MemSystem&) = delete;
 
   void onInst(const InstEvent& ev) override;
 

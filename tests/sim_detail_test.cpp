@@ -14,18 +14,24 @@
 namespace ifko::sim {
 namespace {
 
-arch::MachineConfig tiny() {
-  arch::MachineConfig m = arch::opteron();
-  m.name = "tiny";
-  m.caches = {{.sizeBytes = 1024, .lineBytes = 64, .assoc = 2, .latency = 3},
-              {.sizeBytes = 4096, .lineBytes = 64, .assoc = 4, .latency = 10}};
-  m.memLatency = 100;
-  m.busBytesPerCycle = 2.0;
-  m.busTurnaround = 8;
-  m.maxOutstandingMisses = 4;
-  m.hwPrefetchDepth = 0;  // keep the hardware prefetcher out of unit tests
-  m.wcBuffers = 2;
-  return m;
+/// MemSystem and TimingModel keep a reference to their config, so the
+/// config must outlive them: one static instance, never a temporary.
+const arch::MachineConfig& tiny() {
+  static const arch::MachineConfig kTiny = [] {
+    arch::MachineConfig m = arch::opteron();
+    m.name = "tiny";
+    m.caches = {
+        {.sizeBytes = 1024, .lineBytes = 64, .assoc = 2, .latency = 3},
+        {.sizeBytes = 4096, .lineBytes = 64, .assoc = 4, .latency = 10}};
+    m.memLatency = 100;
+    m.busBytesPerCycle = 2.0;
+    m.busTurnaround = 8;
+    m.maxOutstandingMisses = 4;
+    m.hwPrefetchDepth = 0;  // keep the hardware prefetcher out of unit tests
+    m.wcBuffers = 2;
+    return m;
+  }();
+  return kTiny;
 }
 
 TEST(WcBuffers, TwoInterleavedNtStreamsCombineWithTwoBuffers) {

@@ -12,19 +12,25 @@ namespace {
 
 using arch::MachineConfig;
 
-MachineConfig tiny() {
-  // Small, round-number machine for cache unit tests: 1KB 2-way L1 (16
-  // lines), 4KB 4-way L2, 64B lines.
-  MachineConfig m = arch::opteron();
-  m.name = "tiny";
-  m.caches = {{.sizeBytes = 1024, .lineBytes = 64, .assoc = 2, .latency = 3},
-              {.sizeBytes = 4096, .lineBytes = 64, .assoc = 4, .latency = 10}};
-  m.memLatency = 100;
-  m.busBytesPerCycle = 2.0;  // 32 cycles per line
-  m.busTurnaround = 8;
-  m.maxOutstandingMisses = 4;
-  m.prefetchDropBacklog = 40;
-  return m;
+/// MemSystem and TimingModel keep a reference to their config, so the
+/// config must outlive them: one static instance, never a temporary.
+const MachineConfig& tiny() {
+  static const MachineConfig kTiny = [] {
+    // Small, round-number machine for cache unit tests: 1KB 2-way L1 (16
+    // lines), 4KB 4-way L2, 64B lines.
+    MachineConfig m = arch::opteron();
+    m.name = "tiny";
+    m.caches = {
+        {.sizeBytes = 1024, .lineBytes = 64, .assoc = 2, .latency = 3},
+        {.sizeBytes = 4096, .lineBytes = 64, .assoc = 4, .latency = 10}};
+    m.memLatency = 100;
+    m.busBytesPerCycle = 2.0;  // 32 cycles per line
+    m.busTurnaround = 8;
+    m.maxOutstandingMisses = 4;
+    m.prefetchDropBacklog = 40;
+    return m;
+  }();
+  return kTiny;
 }
 
 TEST(MemSystem, L1HitLatency) {
