@@ -13,10 +13,14 @@
 // caching only change how long the answer takes; the bench FAILS if any
 // row picks a different winner than the first.
 //
-// The fast-serial row's rates are written to BENCH_evalrate.json
-// ({date, commit, kernels_per_s, evals_per_s}); when IFKO_EVALRATE_BASELINE
-// names a committed baseline, an evals_per_s regression beyond 20% fails
-// the run (the CI guard).
+// The fast-serial row is timed kFastSerialRepeats times in the same warm
+// process; the median of its rates is written to BENCH_evalrate.json
+// ({date, commit, kernels_per_s, evals_per_s}), and when
+// IFKO_EVALRATE_BASELINE names a committed baseline, a median evals_per_s
+// regression beyond 20% fails the run (the CI guard).  One pass is ~0.2 s
+// of wall clock at IFKO_FAST=1, so a single pass follows the host's state
+// more than the code; the median of five does not.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
@@ -31,6 +35,13 @@
 using namespace ifko;
 
 namespace {
+
+constexpr int kFastSerialRepeats = 5;
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
 
 std::vector<search::KernelJob> benchJobs(bool fast) {
   const auto& all = kernels::allKernels();
@@ -103,42 +114,55 @@ int main() {
   std::vector<std::string> winners;  // per kernel, from the first row
   bool winnersAgree = true;
   for (const Row& row : rows) {
-    search::OrchestratorConfig oc;
-    oc.search = cfg;
-    oc.search.jobs = row.jobs;
-    if (row.useCache) oc.cachePath = cachePath;
-    search::Orchestrator orch(arch::p4e(), oc);
-    auto batch = orch.tuneAll(kernelJobs);
-    if (serialSeconds == 0.0) serialSeconds = batch.wallSeconds;
-    double speedup =
-        batch.wallSeconds == 0.0 ? 0.0 : serialSeconds / batch.wallSeconds;
-    double evalsPerS = batch.wallSeconds == 0.0
-                           ? 0.0
-                           : batch.evaluations / batch.wallSeconds;
-    t.addRow({row.name, std::to_string(row.jobs),
-              fmtFixed(batch.wallSeconds, 2), fmtFixed(speedup, 2) + "x",
-              std::to_string(batch.evaluations), fmtFixed(evalsPerS, 0),
-              fmtFixed(100.0 * batch.hitRate(), 1)});
-    if (std::string(row.name) == "fast serial" && batch.wallSeconds > 0.0) {
-      fastKernelsPerS = kernelJobs.size() / batch.wallSeconds;
-      fastEvalsPerS = evalsPerS;
+    const bool fastSerial = std::string(row.name) == "fast serial";
+    std::vector<double> walls, evalRates;
+    search::BatchOutcome batch;
+    for (int rep = 0; rep < (fastSerial ? kFastSerialRepeats : 1); ++rep) {
+      search::OrchestratorConfig oc;
+      oc.search = cfg;
+      oc.search.jobs = row.jobs;
+      if (row.useCache) oc.cachePath = cachePath;
+      search::Orchestrator orch(arch::p4e(), oc);
+      batch = orch.tuneAll(kernelJobs);
+      walls.push_back(batch.wallSeconds);
+      evalRates.push_back(batch.wallSeconds == 0.0
+                              ? 0.0
+                              : batch.evaluations / batch.wallSeconds);
+      // The whole point of the ablation: every configuration (and every
+      // repeat) returns the same winners.  Collect them from the first
+      // pass, compare the rest.
+      std::vector<std::string> rowWinners;
+      for (const auto& k : batch.kernels)
+        rowWinners.push_back(k.result.ok
+                                 ? opt::formatTuningSpec(k.result.best)
+                                 : "FAILED: " + k.result.error);
+      if (winners.empty()) {
+        winners = rowWinners;
+      } else if (rowWinners != winners) {
+        winnersAgree = false;
+        for (size_t i = 0; i < winners.size(); ++i)
+          if (rowWinners[i] != winners[i])
+            std::fprintf(stderr,
+                         "WINNER MISMATCH [%s] %s:\n  serial: %s\n  this:   "
+                         "%s\n",
+                         row.name, kernelJobs[i].name.c_str(),
+                         winners[i].c_str(), rowWinners[i].c_str());
+      }
     }
-    // The whole point of the ablation: every configuration returns the
-    // same winners.  Collect them from the first row, compare the rest.
-    std::vector<std::string> rowWinners;
-    for (const auto& k : batch.kernels)
-      rowWinners.push_back(k.result.ok ? opt::formatTuningSpec(k.result.best)
-                                       : "FAILED: " + k.result.error);
-    if (winners.empty()) {
-      winners = rowWinners;
-    } else if (rowWinners != winners) {
-      winnersAgree = false;
-      for (size_t i = 0; i < winners.size(); ++i)
-        if (rowWinners[i] != winners[i])
-          std::fprintf(stderr,
-                       "WINNER MISMATCH [%s] %s:\n  serial: %s\n  this:   %s\n",
-                       row.name, kernelJobs[i].name.c_str(),
-                       winners[i].c_str(), rowWinners[i].c_str());
+    const double wall = median(walls);
+    const double evalsPerS = median(evalRates);
+    if (serialSeconds == 0.0) serialSeconds = wall;
+    double speedup = wall == 0.0 ? 0.0 : serialSeconds / wall;
+    t.addRow({row.name, std::to_string(row.jobs), fmtFixed(wall, 2),
+              fmtFixed(speedup, 2) + "x", std::to_string(batch.evaluations),
+              fmtFixed(evalsPerS, 0), fmtFixed(100.0 * batch.hitRate(), 1)});
+    if (fastSerial && wall > 0.0) {
+      fastKernelsPerS = kernelJobs.size() / wall;
+      fastEvalsPerS = evalsPerS;
+      std::string all;
+      for (double r : evalRates) all += (all.empty() ? "" : " ") + fmtFixed(r, 0);
+      std::printf("fast serial evals/s over %d passes: %s (median %.0f)\n",
+                  kFastSerialRepeats, all.c_str(), evalsPerS);
     }
   }
   std::fputs(t.str().c_str(), stdout);
@@ -151,8 +175,9 @@ int main() {
     return 1;
   }
 
-  // Machine-readable rate record, from the single-thread row (thread count
-  // would skew a parallel row): the figure the CI guard tracks.
+  // Machine-readable rate record, the medians of the single-thread row
+  // (thread count would skew a parallel row): the figure the CI guard
+  // tracks.
   {
     std::time_t now = std::time(nullptr);
     char date[32];

@@ -131,7 +131,6 @@
 #include "search/resume.h"
 #include "serve/client.h"
 #include "serve/daemon.h"
-#include "support/hash.h"
 #include "support/json.h"
 #include "support/str.h"
 #include "support/table.h"
@@ -354,25 +353,19 @@ Options parseOptions(int argc, char** argv, int first) {
   return o;
 }
 
-search::SearchConfig searchConfig(const Options& o) {
-  search::SearchConfig cfg = o.fast ? search::SearchConfig::smoke()
-                                    : search::SearchConfig{};
-  cfg.n = o.n;
-  cfg.context = o.context;
-  cfg.jobs = o.jobs;
-  cfg.searchExtensions = o.extensions;
-  cfg.evalTimeoutMs = o.evalTimeoutMs;
-  cfg.maxEvalAttempts = static_cast<int>(o.evalRetries) + 1;
-  return cfg;
-}
-
 /// The shared tune/tune-all configuration: search scale, cache/trace paths,
 /// strategy, and budget.  A stochastic strategy with no explicit budget
 /// would only stop at its internal round limits, so it defaults to 128
 /// observed candidates — about one full line search on the full grids.
 search::OrchestratorConfig orchestratorConfig(const Options& o) {
   search::OrchestratorConfig oc;
-  oc.search = searchConfig(o);
+  oc.search = o.fast ? search::SearchConfig::smoke() : search::SearchConfig{};
+  oc.search.n = o.n;
+  oc.search.context = o.context;
+  oc.search.jobs = o.jobs;
+  oc.search.searchExtensions = o.extensions;
+  oc.search.evalTimeoutMs = o.evalTimeoutMs;
+  oc.search.maxEvalAttempts = static_cast<int>(o.evalRetries) + 1;
   oc.cachePath = o.cachePath;
   oc.cacheDir = o.cacheDirPath;
   oc.cacheShard = o.cacheShard;
@@ -410,15 +403,21 @@ std::string faultSummary(const search::FailureCounts& f) {
   return s;
 }
 
-// --- wisdom plumbing for tune/tune-all --------------------------------------
-
-wisdom::WisdomKey wisdomKeyFor(const std::string& src, const Options& o) {
-  wisdom::WisdomKey key;
-  key.sourceHash = hashHex(src);
-  key.machine = o.machine.name;
-  key.context = std::string(sim::contextName(o.context));
-  key.nClass = wisdom::nClassFor(o.n);
-  return key;
+/// Reports what opening the orchestrator `who` (tune, explain, tune-all)
+/// searches with found: a cache or trace file problem (`err`) is fatal,
+/// damaged cache lines only a warning.  False when `who` must stop.
+bool orchestratorOpened(search::Orchestrator& orch, const std::string& err,
+                        const Options& o, const char* who) {
+  if (!err.empty()) {
+    std::fprintf(stderr, "%s: %s\n", who, err.c_str());
+    return false;
+  }
+  const size_t damaged = orch.cache().damagedLines();
+  if (damaged > 0)
+    std::fprintf(stderr,
+                 "%s: warning: skipped %zu damaged line(s) in cache '%s'\n",
+                 who, damaged, cacheName(o).c_str());
+  return true;
 }
 
 void loadWisdomWarn(wisdom::WisdomStore& store, const std::string& path,
@@ -502,45 +501,25 @@ std::string pathStem(const std::string& path) {
 }
 
 int cmdTune(const std::string& path, const std::string& src, const Options& o) {
-  search::OrchestratorConfig oc = orchestratorConfig(o);
   std::string err;
-  search::Orchestrator orch(o.machine, oc, &err);
-  if (!err.empty()) {
-    std::fprintf(stderr, "%s\n", err.c_str());
-    return 1;
-  }
-  if (orch.cache().damagedLines() > 0)
-    std::fprintf(stderr,
-                 "tune: warning: skipped %zu damaged line(s) in cache '%s'\n",
-                 orch.cache().damagedLines(), cacheName(o).c_str());
+  search::Orchestrator orch(o.machine, orchestratorConfig(o), &err);
+  if (!orchestratorOpened(orch, err, o, "tune")) return 1;
+  const search::OrchestratorConfig& oc = orch.config();
 
-  search::KernelJob job{pathStem(path), src, nullptr};
   wisdom::WisdomStore wis;
-  wisdom::WisdomKey wkey;
-  if (!o.wisdomPath.empty()) {
-    loadWisdomWarn(wis, o.wisdomPath, "tune");
-    wkey = wisdomKeyFor(src, o);
-    // Deferred until the DEFAULTS point is timed, so the lookup can rank
-    // fallback candidates by similarity to this kernel's own attribution
-    // vector (the probe) instead of by raw N-class distance.
-    job.warmStartProvider = [&wis, wkey](const search::EvalOutcome& def)
-        -> std::optional<opt::TuningParams> {
-      std::optional<wisdom::AttrShares> probe;
-      if (def.counters.has_value())
-        probe = wisdom::attrSharesFrom(*def.counters);
-      const wisdom::WisdomMatch m =
-          wis.find(wkey, probe.has_value() ? &*probe : nullptr);
-      if (!m.hit()) return std::nullopt;
-      const opt::TuningSpec seed = opt::parseTuningSpec(m.record->params);
-      if (!seed.ok) return std::nullopt;
-      std::printf("wisdom: warm start (%s): %s\n",
-                  std::string(wisdom::matchKindName(m.kind)).c_str(),
-                  m.record->params.c_str());
-      return seed.params;
-    };
-  }
-
-  auto outcome = orch.tune(job);
+  if (!o.wisdomPath.empty()) loadWisdomWarn(wis, o.wisdomPath, "tune");
+  bool adopted = false;
+  auto report = [&](const search::KernelOutcome&,
+                    const wisdom::KernelWisdom& w) {
+    adopted = w.adopted;
+    if (!w.warmStart.has_value()) return;
+    std::printf("wisdom: warm start (%s): %s\n",
+                std::string(wisdom::matchKindName(w.warmStart->kind)).c_str(),
+                w.warmStart->params.c_str());
+  };
+  const search::KernelOutcome outcome =
+      wisdom::tune(orch, wis, {{pathStem(path), src, nullptr}}, "tune", report)
+          .kernels.front();
   const search::TuneResult& r = outcome.result;
   if (!r.ok) {
     std::fprintf(stderr, "tuning failed: %s\n", r.error.c_str());
@@ -585,10 +564,6 @@ int cmdTune(const std::string& path, const std::string& src, const Options& o) {
                 orch.cache().size(), cacheName(o).c_str());
 
   if (!o.wisdomPath.empty()) {
-    const bool adopted = wis.record(wisdom::harvestRecord(
-        wkey, job.name,
-        "tune/" + std::string(search::strategyName(oc.strategy)), r, oc.search,
-        &orch.cache()));
     std::string werr;
     if (!wis.save(o.wisdomPath, &werr)) {
       std::fprintf(stderr, "tune: wisdom save failed: %s\n", werr.c_str());
@@ -606,18 +581,9 @@ int cmdTune(const std::string& path, const std::string& src, const Options& o) {
 /// explanation and not just a number.
 int cmdExplain(const std::string& path, const std::string& src,
                const Options& o) {
-  search::OrchestratorConfig oc = orchestratorConfig(o);
   std::string err;
-  search::Orchestrator orch(o.machine, oc, &err);
-  if (!err.empty()) {
-    std::fprintf(stderr, "%s\n", err.c_str());
-    return 1;
-  }
-  if (orch.cache().damagedLines() > 0)
-    std::fprintf(stderr,
-                 "explain: warning: skipped %zu damaged line(s) in cache "
-                 "'%s'\n",
-                 orch.cache().damagedLines(), cacheName(o).c_str());
+  search::Orchestrator orch(o.machine, orchestratorConfig(o), &err);
+  if (!orchestratorOpened(orch, err, o, "explain")) return 1;
   auto outcome = orch.tune({pathStem(path), src, nullptr});
   const search::TuneResult& r = outcome.result;
   if (!r.ok) {
@@ -630,8 +596,7 @@ int cmdExplain(const std::string& path, const std::string& src,
   // One pipeline lowers the source once and keeps the winner's compiled
   // artifact for the pass-delta display below — no re-lowering, no second
   // compile of the same candidate.
-  search::SearchConfig cfg = searchConfig(o);
-  search::EvalPipeline pipe(src, nullptr, o.machine, cfg);
+  search::EvalPipeline pipe(src, nullptr, o.machine, orch.config().search);
   if (!pipe.lowered().ok) {
     std::fprintf(stderr, "lowering failed: %s\n",
                  pipe.lowered().error.c_str());
@@ -766,8 +731,6 @@ int cmdTuneAll(const std::string& dir, const Options& o) {
                  static_cast<long long>(o.workers), jobs.size(), total);
   }
 
-  search::OrchestratorConfig oc = orchestratorConfig(o);
-
   // --resume: the trace is a write-ahead log of batch progress.  Replay it,
   // skip every kernel whose ok kernel_end survived the crash, and re-enter
   // the rest — with the eval cache warm their already-paid candidates
@@ -784,7 +747,7 @@ int cmdTuneAll(const std::string& dir, const Options& o) {
     std::string rerr;
     plan = search::loadResumePlan(
         o.tracePath, o.machine.name, std::string(sim::contextName(o.context)),
-        o.n, std::string(search::strategyName(oc.strategy)), &rerr);
+        o.n, std::string(search::strategyName(o.strategy)), &rerr);
     if (!rerr.empty()) {
       std::fprintf(stderr, "tune-all: %s\n", rerr.c_str());
       return 1;
@@ -808,44 +771,17 @@ int cmdTuneAll(const std::string& dir, const Options& o) {
                  doneJobs.size(), o.tracePath.c_str(), jobs.size());
   }
 
-  search::Orchestrator orch(o.machine, oc, &err);
-  if (!err.empty()) {
-    std::fprintf(stderr, "tune-all: %s\n", err.c_str());
-    return 1;
-  }
-  if (orch.cache().damagedLines() > 0)
-    std::fprintf(stderr,
-                 "tune-all: warning: skipped %zu damaged line(s) in cache "
-                 "'%s'\n",
-                 orch.cache().damagedLines(), cacheName(o).c_str());
+  search::Orchestrator orch(o.machine, orchestratorConfig(o), &err);
+  if (!orchestratorOpened(orch, err, o, "tune-all")) return 1;
 
   wisdom::WisdomStore wis;
-  std::map<std::string, wisdom::WisdomKey> wkeyByName;
   if (!o.wisdomPath.empty()) {
     loadWisdomWarn(wis, o.wisdomPath, "tune-all");
     size_t warmStarts = 0;
-    for (auto& job : jobs) {
-      wisdom::WisdomKey key = wisdomKeyFor(job.hilSource, o);
-      if (wis.find(key).hit()) ++warmStarts;
-      // Deferred lookup: the kernel's DEFAULTS attribution becomes the
-      // similarity probe, and later kernels also see records written back
-      // by earlier ones in this same run.
-      job.warmStartProvider = [&wis, key](const search::EvalOutcome& def)
-          -> std::optional<opt::TuningParams> {
-        std::optional<wisdom::AttrShares> probe;
-        if (def.counters.has_value())
-          probe = wisdom::attrSharesFrom(*def.counters);
-        const wisdom::WisdomMatch m =
-            wis.find(key, probe.has_value() ? &*probe : nullptr);
-        if (!m.hit()) return std::nullopt;
-        const opt::TuningSpec seed = opt::parseTuningSpec(m.record->params);
-        if (!seed.ok) return std::nullopt;
-        return seed.params;
-      };
-      wkeyByName.emplace(job.name, std::move(key));
-    }
-    for (const auto& job : doneJobs)
-      wkeyByName.emplace(job.name, wisdomKeyFor(job.hilSource, o));
+    for (const auto& job : jobs)
+      if (wis.find(wisdom::keyFor(job.hilSource, o.machine, o.context, o.n))
+              .hit())
+        ++warmStarts;
     std::fprintf(stderr, "wisdom: warm-starting %zu of %zu kernels from %s\n",
                  warmStarts, jobs.size(), o.wisdomPath.c_str());
   }
@@ -854,13 +790,9 @@ int cmdTuneAll(const std::string& dir, const Options& o) {
   // atomic (pid-unique temp + rename), so a kill -9 at any point loses at
   // most the in-flight kernel's record — which --resume re-harvests anyway.
   size_t adopted = 0;
-  auto recordWisdom = [&](const search::KernelOutcome& k) {
+  auto saveWisdom = [&](const search::KernelOutcome& k, bool adoptedIt) {
     if (o.wisdomPath.empty() || !k.result.ok) return;
-    if (wis.record(wisdom::harvestRecord(
-            wkeyByName.at(k.name), k.name,
-            "tune-all/" + std::string(search::strategyName(oc.strategy)),
-            k.result, oc.search, &orch.cache())))
-      ++adopted;
+    if (adoptedIt) ++adopted;
     std::string werr;
     if (!wis.save(o.wisdomPath, &werr))
       std::fprintf(stderr, "tune-all: wisdom save failed: %s\n", werr.c_str());
@@ -875,13 +807,17 @@ int cmdTuneAll(const std::string& dir, const Options& o) {
     search::KernelOutcome ko;
     ko.name = job.name;
     ko.result = search::resumedTuneResult(plan.completed.at(job.name));
-    recordWisdom(ko);
+    saveWisdom(ko, wisdom::recordResult(wis, orch, job, "tune-all", ko.result));
     resumed.push_back(std::move(ko));
   }
 
   std::fprintf(stderr, "tuning %zu kernels on %s (jobs=%d)...\n", jobs.size(),
                o.machine.name.c_str(), std::max(1, o.jobs));
-  auto batch = orch.tuneAll(jobs, recordWisdom);
+  auto batch = wisdom::tune(
+      orch, wis, std::move(jobs), "tune-all",
+      [&](const search::KernelOutcome& k, const wisdom::KernelWisdom& w) {
+        saveWisdom(k, w.adopted);
+      });
 
   // Compact per-kernel fault cell: "2t 1c" = 2 timeouts, 1 crash; "-" = clean.
   auto faultCell = [](const search::FailureCounts& f) {

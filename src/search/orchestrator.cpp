@@ -189,12 +189,12 @@ constexpr int kBatchHint = 16;
 /// finishes or the budget is spent, tracking the best-so-far frontier and
 /// relaying the strategy's ledger as dimension_end events.
 ///
-/// The job's warm start (a wisdom record's parameters, or the one its
-/// deferred provider picks once the DEFAULTS outcome is known) is evaluated
-/// immediately after DEFAULTS as the "WISDOM" dimension, so it becomes the
-/// incumbent the search must beat.  It counts against the budget like any
-/// observed candidate but is never reported to the strategy: proposal
-/// sequences are identical with or without it.
+/// The job's warm start (the parameters its provider picks once the
+/// DEFAULTS outcome is known) is evaluated immediately after DEFAULTS as
+/// the "WISDOM" dimension, so it becomes the incumbent the search must
+/// beat.  It counts against the budget like any observed candidate but is
+/// never reported to the strategy: proposal sequences are identical with
+/// or without it.
 TuneResult runStrategySearch(const KernelJob& job,
                              const arch::MachineConfig& machine,
                              const SearchConfig& config,
@@ -231,11 +231,11 @@ TuneResult runStrategySearch(const KernelJob& job,
 
   // Warm start: time the remembered winner once, up front.  A failing or
   // slower-than-defaults warm point simply never becomes the incumbent —
-  // stale wisdom can cost one evaluation, never the result.  The deferred
-  // form sees the DEFAULTS outcome first, so a wisdom lookup can rank its
+  // stale wisdom can cost one evaluation, never the result.  The provider
+  // sees the DEFAULTS outcome first, so a wisdom lookup can rank its
   // candidates by similarity to this kernel's own attribution.
   const std::optional<opt::TuningParams> warmStart =
-      job.warmStartProvider ? job.warmStartProvider(def) : job.warmStart;
+      job.warmStartProvider ? job.warmStartProvider(def) : std::nullopt;
   if (warmStart.has_value() && !(*warmStart == defaults)) {
     const EvalOutcome warm = eval.evaluateBatch({*warmStart}, "WISDOM")[0];
     ++proposals;

@@ -100,15 +100,10 @@ struct KernelJob {
   std::string name;
   std::string hilSource;
   const kernels::KernelSpec* spec = nullptr;
-  /// Warm start (e.g. from a wisdom record): evaluated right after the
-  /// DEFAULTS point as the "WISDOM" dimension, so a previously found
-  /// winner becomes the incumbent before the strategy proposes anything.
-  /// The strategy never observes it — proposal sequences stay identical
-  /// with or without a warm start; only the incumbent can differ.
-  std::optional<opt::TuningParams> warmStart;
-  /// Deferred warm start: invoked once with the DEFAULTS outcome so a
-  /// wisdom lookup can use the kernel's own attribution vector as its
-  /// similarity probe.  Supersedes `warmStart` when set.
+  /// Warm start, set by the wisdom front door (wisdom/harvest.h): called
+  /// with the DEFAULTS outcome, and what it returns is timed right after
+  /// DEFAULTS as the "WISDOM" dimension, the incumbent to beat.  The
+  /// strategy never observes it, so proposal sequences stay identical.
   WarmStartFn warmStartProvider;
 };
 
@@ -208,6 +203,10 @@ class Orchestrator {
   [[nodiscard]] EvalCache& cache() { return *cache_; }
   /// Worker-pool width after normalization (always >= 1).
   [[nodiscard]] int jobs() const { return config_.search.jobs; }
+  /// The machine model every search runs on.
+  [[nodiscard]] const arch::MachineConfig& machine() const { return machine_; }
+  /// The configuration every search runs with (jobs normalized).
+  [[nodiscard]] const OrchestratorConfig& config() const { return config_; }
 
   /// Kernels the quarantine policy abandoned this run, with their tallies.
   struct QuarantineRecord {

@@ -15,7 +15,6 @@
 
 #include "opt/params.h"
 #include "search/threadpool.h"
-#include "support/hash.h"
 #include "support/json.h"
 #include "wisdom/harvest.h"
 
@@ -166,12 +165,8 @@ std::string Daemon::handleKernelVerb(const Request& req) {
                                     : sim::TimeContext::OutOfCache;
   const int64_t n = req.n > 0 ? req.n : config_.orchestrator.search.n;
 
-  wisdom::WisdomKey key;
-  key.sourceHash = hashHex(entry.source);
-  key.machine = machine.name;
-  key.context = std::string(sim::contextName(context));
-  key.nClass = wisdom::nClassFor(n);
-
+  const wisdom::WisdomKey key =
+      wisdom::keyFor(entry.source, machine, context, n);
   const wisdom::WisdomMatch match = store_.find(key);
 
   auto respond = [&](const std::string& how, const std::string& params,
@@ -233,48 +228,27 @@ std::string Daemon::handleKernelVerb(const Request& req) {
                    rec.bestCycles, rec.defaultCycles, 0);
   }
 
-  // Tune-through path (QUERY miss, or an explicit TUNE): route through the
-  // fault-isolated orchestrator for this (arch, context, n) combination,
-  // seeded by the nearest wisdom we do have.  The lookup is deferred so the
-  // kernel's DEFAULTS attribution ranks the fallback candidates — the store
-  // never crosses kernel or machine, so the probe only reorders this
-  // kernel's own records.
-  search::Orchestrator& orch = orchestratorFor(machine, context, n);
-  search::KernelJob job;
-  job.name = req.target;
-  job.hilSource = entry.source;
-  job.spec = entry.spec;
-  job.warmStartProvider = [this, key](const search::EvalOutcome& def)
-      -> std::optional<opt::TuningParams> {
-    std::optional<wisdom::AttrShares> probe;
-    if (def.counters.has_value())
-      probe = wisdom::attrSharesFrom(*def.counters);
-    const wisdom::WisdomMatch m =
-        store_.find(key, probe.has_value() ? &*probe : nullptr);
-    if (!m.hit()) return std::nullopt;
-    const opt::TuningSpec seed = opt::parseTuningSpec(m.record->params);
-    if (!seed.ok) return std::nullopt;
-    return seed.params;
-  };
-  const search::KernelOutcome outcome = orch.tune(job);
+  // Tune-through path (QUERY miss, or an explicit TUNE): a one-job batch
+  // through the wisdom front door, on the fault-isolated orchestrator for
+  // this (arch, context, n) combination, seeded by the nearest wisdom we do
+  // have and recorded back keep-best.
+  bool adopted = false;
+  const search::KernelOutcome outcome =
+      wisdom::tune(orchestratorFor(machine, context, n), store_,
+                   {{req.target, entry.source, entry.spec}}, config_.runId,
+                   [&](const search::KernelOutcome&,
+                       const wisdom::KernelWisdom& w) { adopted = w.adopted; })
+          .kernels.front();
   ++stats_.tuned;
   stats_.evaluations += static_cast<uint64_t>(outcome.result.evaluations);
   if (!outcome.result.ok)
     return errorResponse(outcome.quarantined ? "quarantined" : "tune_failed",
                          outcome.result.error);
 
-  search::SearchConfig usedConfig = config_.orchestrator.search;
-  usedConfig.context = context;
-  usedConfig.n = n;
-  const wisdom::WisdomRecord rec = wisdom::harvestRecord(
-      key, req.target,
-      config_.runId + "/" +
-          std::string(search::strategyName(config_.orchestrator.strategy)),
-      outcome.result, usedConfig, shared_.cache.get());
-
-  if (store_.record(rec)) saveWisdom();
-  return respond("tuned", rec.params, rec.bestCycles, rec.defaultCycles,
-                 outcome.result.evaluations);
+  if (adopted) saveWisdom();
+  const search::TuneResult& r = outcome.result;
+  return respond("tuned", opt::formatTuningSpec(r.best), r.bestCycles,
+                 r.defaultCycles, r.evaluations);
 }
 
 std::string Daemon::handleExport(const Request& req) {

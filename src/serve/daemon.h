@@ -5,8 +5,9 @@
 // wisdom store (wisdom/wisdom.h) and one evaluation cache — so "give me
 // the tuned kernel" is a wisdom lookup that never touches the evaluator,
 // and a full empirical search runs only on the cache-miss path.  Misses
-// route through the ordinary fault-isolated orchestrator (deadline, retry,
-// quarantine), so a crashing or hanging kernel scores a structured error
+// tune through the wisdom front door (wisdom::tune, the call `ifko tune`
+// and `tune-all` make) on the ordinary fault-isolated orchestrator
+// (deadline, retry, quarantine), so a crashing or hanging kernel scores a structured error
 // response and the daemon keeps serving.
 //
 // Memory model: the daemon opens its eval cache once, at construction, and

@@ -98,7 +98,9 @@ TEST(WorkerSlice, PartitionCoversEveryJobExactlyOnce) {
     ASSERT_EQ(slice.size(), expect);
     size_t at = 0;
     for (size_t i = 0; i < jobs.size(); ++i)
-      if (static_cast<int>(i % 3) == w) EXPECT_EQ(slice[at++].name, jobs[i].name);
+      if (static_cast<int>(i % 3) == w) {
+        EXPECT_EQ(slice[at++].name, jobs[i].name);
+      }
     for (const auto& j : slice) covered.insert(j.name);
   }
   ASSERT_EQ(covered.size(), jobs.size());  // no overlap, no gap

@@ -4,6 +4,10 @@
 // must also survive later).
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <type_traits>
+
 #include "hil/lower.h"
 #include "ir/builder.h"
 #include "ir/verifier.h"
@@ -14,10 +18,14 @@
 namespace ifko {
 namespace {
 
+// Padding-free: gtest prints a parameter's raw bytes into the test name,
+// so every byte must belong to an initialized member.
 struct Case {
-  kernels::KernelSpec spec;
   int64_t n;
+  kernels::KernelSpec spec;
+  std::array<uint8_t, 6> zero{};
 };
+static_assert(std::has_unique_object_representations_v<Case>);
 
 std::string caseName(const testing::TestParamInfo<Case>& info) {
   return info.param.spec.name() + "_n" + std::to_string(info.param.n);
@@ -26,7 +34,7 @@ std::string caseName(const testing::TestParamInfo<Case>& info) {
 class KernelSemantics : public testing::TestWithParam<Case> {};
 
 TEST_P(KernelSemantics, UnoptimizedLoweringMatchesReference) {
-  const auto& [spec, n] = GetParam();
+  const auto& [n, spec, zero] = GetParam();
   DiagnosticEngine d;
   auto fn = hil::compileHil(spec.hilSource(), d);
   ASSERT_TRUE(fn.has_value()) << d.str();
@@ -39,7 +47,7 @@ std::vector<Case> allCases() {
   std::vector<Case> cases;
   for (const auto& spec : kernels::allKernels())
     for (int64_t n : {0, 1, 2, 3, 7, 64, 257})
-      cases.push_back({spec, n});
+      cases.push_back({n, spec});
   return cases;
 }
 

@@ -236,7 +236,7 @@ TEST(DaemonAcceptance, MissTuneMatchesFreshTuneAcrossContexts) {
     for (const kernels::KernelSpec& spec : kernels::allKernels()) {
       SCOPED_TRACE(spec.name() + (inl2 ? "/inl2" : "/ooc"));
       const search::KernelOutcome want =
-          fresh.tune({spec.name(), spec.hilSource(), &spec, std::nullopt});
+          fresh.tune({spec.name(), spec.hilSource(), &spec});
       ASSERT_TRUE(want.result.ok) << want.result.error;
       expectEvals += want.result.evaluations;
 

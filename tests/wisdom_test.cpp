@@ -2,14 +2,25 @@
 // bit-identically (attribution vector included), merge keep-best, tolerate
 // damaged lines loudly, load old-schema (v1) lines while refusing unknown
 // schemas, and fall back exact -> attribution-similar -> near-N ->
-// near-context without ever crossing kernel or machine.
+// near-context without ever crossing kernel or machine.  The front door
+// (wisdom::tune) must warm-start from an exact record with exactly one
+// WISDOM evaluation, ignore a record it cannot parse, never let a slower
+// record become the incumbent, and write the same record for a one-job
+// call as the serve daemon's TUNE.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 
+#include "arch/machine.h"
+#include "kernels/registry.h"
+#include "opt/params.h"
+#include "serve/daemon.h"
+#include "support/json.h"
+#include "wisdom/harvest.h"
 #include "wisdom/wisdom.h"
 
 namespace ifko::wisdom {
@@ -407,6 +418,168 @@ TEST(AttrMath, CosineDistanceBasics) {
   // any real distance.
   EXPECT_EQ(attrCosineDistance(a, AttrShares{}), 2.0);
   EXPECT_EQ(attrCosineDistance(AttrShares{}, AttrShares{}), 2.0);
+}
+
+// --- the front door: wisdom::tune ------------------------------------------
+
+const kernels::KernelSpec& ddotSpec() {
+  for (const kernels::KernelSpec& spec : kernels::extendedKernels())
+    if (spec.name() == "ddot") return spec;
+  ADD_FAILURE() << "no ddot in the registry";
+  return kernels::extendedKernels().front();
+}
+
+search::KernelJob ddotJob() {
+  const kernels::KernelSpec& spec = ddotSpec();
+  return {spec.name(), spec.hilSource(), &spec};
+}
+
+/// Smoke grids at N=1024 on a memory-only cache, so every tune re-times
+/// its candidates; `tracePath` (truncated first) records the WISDOM
+/// dimension's evaluations.
+search::OrchestratorConfig smokeConfig(const std::string& tracePath = "") {
+  search::OrchestratorConfig oc;
+  oc.search = search::SearchConfig::smoke();
+  oc.search.n = 1024;
+  oc.tracePath = tracePath;
+  if (!tracePath.empty()) std::remove(tracePath.c_str());
+  return oc;
+}
+
+/// The cycles of every candidate the trace shows in the WISDOM dimension.
+std::vector<uint64_t> wisdomEvaluations(const std::string& tracePath) {
+  std::istringstream lines(slurp(tracePath));
+  std::vector<uint64_t> cycles;
+  for (std::string line; std::getline(lines, line);) {
+    std::map<std::string, JsonValue> obj;
+    if (parseJsonObject(line, &obj) && obj["event"].string == "candidate" &&
+        obj["dim"].string == "WISDOM")
+      cycles.push_back(obj["cycles"].asUint());
+  }
+  return cycles;
+}
+
+/// One cold one-job front-door tune of ddot into `store`.
+search::TuneResult coldTune(WisdomStore& store) {
+  search::Orchestrator orch(arch::p4e(), smokeConfig());
+  const search::BatchOutcome batch =
+      tune(orch, store, {ddotJob()}, "test");
+  EXPECT_EQ(batch.kernels.size(), 1u);
+  return batch.kernels.front().result;
+}
+
+WisdomKey ddotKey() {
+  return keyFor(ddotSpec().hilSource(), arch::p4e(),
+                sim::TimeContext::OutOfCache, 1024);
+}
+
+TEST(WisdomFrontDoor, ExactRecordCostsOneWisdomEvaluation) {
+  WisdomStore store;
+  const search::TuneResult cold = coldTune(store);
+  ASSERT_TRUE(cold.ok) << cold.error;
+  ASSERT_NE(store.lookup(ddotKey()), nullptr);
+  const WisdomRecord rec = *store.lookup(ddotKey());
+  EXPECT_EQ(rec.runId, "test/line");
+  ASSERT_NE(cold.best, cold.defaults);  // else no WISDOM point is timed
+
+  const std::string trace = tmpFile("frontdoor_exact.trace.jsonl");
+  search::Orchestrator orch(arch::p4e(), smokeConfig(trace));
+  KernelWisdom seen;
+  const search::BatchOutcome batch = tune(
+      orch, store, {ddotJob()}, "test",
+      [&](const search::KernelOutcome&, const KernelWisdom& w) { seen = w; });
+  const search::TuneResult& warm = batch.kernels.front().result;
+  ASSERT_TRUE(warm.ok) << warm.error;
+  ASSERT_TRUE(seen.warmStart.has_value());
+  EXPECT_EQ(seen.warmStart->kind, MatchKind::Exact);
+  EXPECT_EQ(seen.warmStart->params, rec.params);
+  EXPECT_EQ(wisdomEvaluations(trace).size(), 1u);
+  EXPECT_LE(warm.bestCycles, rec.bestCycles);
+  EXPECT_EQ(seen.adopted, warm.bestCycles < rec.bestCycles);
+  std::remove(trace.c_str());
+}
+
+TEST(WisdomFrontDoor, UnparseableRecordIsIgnored) {
+  WisdomStore empty;
+  const search::TuneResult cold = coldTune(empty);
+  ASSERT_TRUE(cold.ok) << cold.error;
+
+  WisdomStore store;
+  WisdomRecord bad = makeRecord("", "P4E", "out-of-cache", "2^10", 1);
+  bad.key = ddotKey();
+  bad.params = "ur=banana";
+  ASSERT_TRUE(store.record(bad));
+
+  const std::string trace = tmpFile("frontdoor_bad.trace.jsonl");
+  search::Orchestrator orch(arch::p4e(), smokeConfig(trace));
+  KernelWisdom seen;
+  const search::BatchOutcome batch = tune(
+      orch, store, {ddotJob()}, "test",
+      [&](const search::KernelOutcome&, const KernelWisdom& w) { seen = w; });
+  const search::TuneResult& r = batch.kernels.front().result;
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_FALSE(seen.warmStart.has_value());
+  EXPECT_TRUE(wisdomEvaluations(trace).empty());
+  EXPECT_EQ(r.best, cold.best);
+  EXPECT_EQ(r.bestCycles, cold.bestCycles);
+  EXPECT_EQ(r.evaluations, cold.evaluations);
+  std::remove(trace.c_str());
+}
+
+TEST(WisdomFrontDoor, SlowerRecordNeverBecomesIncumbent) {
+  WisdomStore empty;
+  const search::TuneResult cold = coldTune(empty);
+  ASSERT_TRUE(cold.ok) << cold.error;
+
+  // Slow parameters behind a record that claims one cycle: the search
+  // times them once and keeps its own winner, and the store keeps the
+  // record, which the tune's real winner cannot beat.
+  WisdomStore store;
+  WisdomRecord slow = makeRecord("", "P4E", "out-of-cache", "2^10", 1);
+  slow.key = ddotKey();
+  slow.params = "sv=N ur=1";
+  ASSERT_TRUE(store.record(slow));
+
+  const std::string trace = tmpFile("frontdoor_slow.trace.jsonl");
+  search::Orchestrator orch(arch::p4e(), smokeConfig(trace));
+  KernelWisdom seen;
+  const search::BatchOutcome batch = tune(
+      orch, store, {ddotJob()}, "test",
+      [&](const search::KernelOutcome&, const KernelWisdom& w) { seen = w; });
+  const search::TuneResult& r = batch.kernels.front().result;
+  ASSERT_TRUE(r.ok) << r.error;
+  ASSERT_TRUE(seen.warmStart.has_value());
+  const std::vector<uint64_t> timed = wisdomEvaluations(trace);
+  ASSERT_EQ(timed.size(), 1u);
+  ASSERT_GT(timed[0], cold.bestCycles);  // the parameters really are slower
+  EXPECT_EQ(r.best, cold.best);
+  EXPECT_EQ(r.bestCycles, cold.bestCycles);
+  EXPECT_FALSE(seen.adopted);
+  const WisdomRecord* kept = store.lookup(ddotKey());
+  ASSERT_NE(kept, nullptr);
+  EXPECT_EQ(*kept, slow);
+  std::remove(trace.c_str());
+}
+
+TEST(WisdomFrontDoor, OneJobCallWritesTheDaemonsRecord) {
+  WisdomStore store;
+  ASSERT_TRUE(coldTune(store).ok);
+  const WisdomRecord* direct = store.lookup(ddotKey());
+  ASSERT_NE(direct, nullptr);
+
+  serve::ServeConfig cfg;
+  cfg.orchestrator = smokeConfig();
+  serve::Daemon daemon(cfg);
+  const std::string resp = daemon.handleLine("TUNE ddot");
+  ASSERT_NE(resp.find("\"ok\":true"), std::string::npos) << resp;
+  const WisdomRecord* served = daemon.store().lookup(ddotKey());
+  ASSERT_NE(served, nullptr);
+  EXPECT_EQ(served->runId, "serve/line");
+
+  WisdomRecord expect = *direct;
+  expect.runId = served->runId;
+  EXPECT_EQ(*served, expect);
+  EXPECT_TRUE(served->hasAttr());
 }
 
 }  // namespace
